@@ -4,6 +4,7 @@ Modules:
 
 - ``kernels``      — pure-Python/numpy enumeration & search kernels,
                      shared by Spark ``mapInPandas`` tasks and the driver.
+- ``prepare``      — the driver's shared rank/orient/score preparation.
 - ``budgets``      — OOM/OOT simulation (paper's 504 GB / 24 h limits).
 - ``clique_listing`` — Spark k-clique listing/counting substrate.
 - ``scores``       — node scores (Def. 5) and clique scores (Def. 6).

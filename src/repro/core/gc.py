@@ -25,8 +25,8 @@ from pyspark.sql import functions as F
 
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.prepare import Prepared
 from repro.core.scores import key_col, with_clique_scores
-from repro.graphs import adjacency as adj_mod
 
 
 @dataclass
@@ -152,14 +152,8 @@ def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
     """Spark-free GC on a canonical edge array — identical ordering,
     scoring and tie-breaks as the Spark path; used by fast unit tests,
     Theorem-4 checks, and the dynamic module's from-scratch baseline."""
-    rank0 = adj_mod.rank_by_degree(edges)
-    adj0 = adj_mod.orient_by_rank(edges, rank0)
-    counts: dict[int, int] = {}
-    for u in adj0:
-        kernels.count_from_source(adj0, u, k, counts)
-    nodes = set(map(int, edges.reshape(-1)))
-    rank = adj_mod.rank_from_scores(counts, nodes)
-    adj = adj_mod.orient_by_rank(edges, rank)
+    prep = Prepared(edges, k)
+    adj, counts = prep.adj, prep.scores
     cliques: list[tuple[int, ...]] = []
     for u in adj:
         kernels.enumerate_from_source(adj, u, k, out=cliques)

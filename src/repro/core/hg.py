@@ -17,6 +17,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import kernels
+from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 
 
@@ -77,7 +78,7 @@ def hg_numpy(edges: np.ndarray, k: int) -> HGResult:
     """Spark-free HG on a canonical numpy edge array (same degree
     ordering, same result) — used by fast unit tests and the dynamic
     module's from-scratch comparisons."""
-    rank = adj_mod.rank_by_degree(edges)
-    adj = adj_mod.orient_by_rank(edges, rank)
-    nodes = np.asarray(sorted(rank, key=lambda u: rank[u]), dtype=np.int64)
-    return hg_driver_from_oriented(adj, nodes, k)
+    prep = Prepared(edges, k)
+    rank = prep.degree_rank
+    nodes = np.asarray(sorted(rank, key=rank.__getitem__), dtype=np.int64)
+    return hg_driver_from_oriented(prep.degree_adj, nodes, k)

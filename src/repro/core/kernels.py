@@ -15,6 +15,16 @@ member (the standard kClist scheme the paper builds on). ``valid`` is
 an optional boolean mask over node ids: nodes already placed in S are
 masked out, which is how the framework "removes" chosen cliques
 without rebuilding the graph.
+
+Per source ``u``, the four oriented kernels share one local subgraph
+(kClist's, Danisch et al., WWW 2018): the valid out-neighbours N+(u),
+in ascending id, are relabelled 0..d-1 and each gets a Python-int
+bitmask of its out-neighbours inside N+(u). A candidate set is then a
+bitmask too, and one recursion step is ``cand & mask[i]`` with
+``int.bit_count()`` for its size. Set bits are visited from low to
+high, i.e. in ascending node id, so listing order, FindOne's first
+clique and FindMin's ``visited`` counter are those of a recursion over
+sorted id arrays.
 """
 from __future__ import annotations
 
@@ -27,14 +37,40 @@ from repro.core.budgets import OOT_MARKER, SimulatedOOT
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _out(adj: dict[int, np.ndarray], u: int) -> np.ndarray:
-    return adj.get(u, _EMPTY)
+def _local(adj, source, valid, need, undirected=False):
+    """The local subgraph of ``source``, or None if it has fewer than
+    ``need`` valid out-neighbours.
+
+    Returns ``(ids, masks)``: ``ids[i]`` is the node id of local node
+    ``i`` (ascending) and bit ``j`` of ``masks[i]`` is set iff ``ids[j]``
+    is an out-neighbour of ``ids[i]`` (or, with ``undirected``, either
+    kind of neighbour).
+    """
+    nodes = adj.get(source, _EMPTY)
+    if valid is not None and len(nodes):
+        nodes = nodes[valid[nodes]]
+    if len(nodes) < need:
+        return None
+    ids = nodes.tolist()
+    pos = {v: i for i, v in enumerate(ids)}
+    local = pos.keys()
+    masks = [0] * len(ids)
+    for i, v in enumerate(ids):
+        nb = adj.get(v)
+        if nb is None:
+            continue
+        bit = 1 << i
+        for w in local & nb.tolist():
+            j = pos[w]
+            masks[i] |= 1 << j
+            if undirected:
+                masks[j] |= bit
+    return ids, masks
 
 
-def _filter_valid(arr: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
-    if valid is None or len(arr) == 0:
-        return arr
-    return arr[valid[arr]]
+def _check_deadline(deadline: float | None, what: str) -> None:
+    if deadline is not None and time.time() > deadline:
+        raise SimulatedOOT(f"{OOT_MARKER}: {what} deadline exceeded")
 
 
 def enumerate_from_source(
@@ -52,24 +88,29 @@ def enumerate_from_source(
     """
     if out is None:
         out = []
-    cand = _filter_valid(_out(adj, source), valid)
-    if len(cand) < k - 1:
-        return out
-    _enum_rec(adj, cand, k - 1, (source,), valid, out, deadline)
+    loc = _local(adj, source, valid, k - 1)
+    if loc is not None:
+        ids, masks = loc
+        _enum_rec(ids, masks, (1 << len(ids)) - 1, k - 1, (source,), out, deadline)
     return out
 
 
-def _enum_rec(adj, cand, need, prefix, valid, out, deadline):
-    if deadline is not None and time.time() > deadline:
-        raise SimulatedOOT(f"{OOT_MARKER}: enumeration deadline exceeded")
+def _enum_rec(ids, masks, cand, need, prefix, out, deadline):
+    _check_deadline(deadline, "enumeration")
+    rest = cand
     if need == 1:
-        for c in cand:
-            out.append(tuple(sorted(prefix + (int(c),))))
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append(tuple(sorted(prefix + (ids[low.bit_length() - 1],))))
         return
-    for v in cand:
-        nxt = np.intersect1d(cand, _filter_valid(_out(adj, int(v)), valid), assume_unique=True)
-        if len(nxt) >= need - 1:
-            _enum_rec(adj, nxt, need - 1, prefix + (int(v),), valid, out, deadline)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        nxt = cand & masks[i]
+        if nxt.bit_count() >= need - 1:
+            _enum_rec(ids, masks, nxt, need - 1, prefix + (ids[i],), out, deadline)
 
 
 def count_from_source(
@@ -81,32 +122,55 @@ def count_from_source(
 ) -> None:
     """Accumulate per-node k-clique membership counts (node scores,
     Def. 5) for all cliques rooted at ``source`` — without storing any
-    clique, which is the whole point of Algorithm 3 line 2."""
-    cand = _out(adj, source)
-    if len(cand) < k - 1:
+    clique, which is the whole point of Algorithm 3 line 2.
+
+    Counting needs no particular order, so the local subgraph is taken
+    undirected and each (k-1)-clique of it is reached once, from its
+    lowest local index. Each recursion level returns the number of
+    cliques below it, so a node is credited once per branch rather than
+    once per clique, and at the last level a node's count is its number
+    of neighbours in the candidate set, one ``bit_count``.
+    """
+    loc = _local(adj, source, None, k - 1, undirected=True)
+    if loc is None:
         return
-    _count_rec(adj, cand, k - 1, [source], counts, deadline)
+    ids, masks = loc
+    local = [0] * len(ids)
+    total = _count_rec(masks, (1 << len(ids)) - 1, k - 1, local, deadline)
+    if total:
+        counts[source] = counts.get(source, 0) + total
+        for u, c in zip(ids, local):
+            if c:
+                counts[u] = counts.get(u, 0) + c
 
 
-def _count_rec(adj, cand, need, prefix, counts, deadline):
-    if deadline is not None and time.time() > deadline:
-        raise SimulatedOOT(f"{OOT_MARKER}: counting deadline exceeded")
-    if need == 1:
-        n_here = len(cand)
-        if n_here == 0:
-            return
-        for p in prefix:
-            counts[p] = counts.get(p, 0) + n_here
-        for c in cand:
-            c = int(c)
-            counts[c] = counts.get(c, 0) + 1
-        return
-    for v in cand:
-        nxt = np.intersect1d(cand, _out(adj, int(v)), assume_unique=True)
-        if len(nxt) >= need - 1:
-            prefix.append(int(v))
-            _count_rec(adj, nxt, need - 1, prefix, counts, deadline)
-            prefix.pop()
+def _count_rec(masks, cand, need, local, deadline):
+    """Number of ``need``-cliques inside ``cand``; adds each node's
+    share to ``local``."""
+    _check_deadline(deadline, "counting")
+    rest = cand
+    total = 0
+    if need <= 2:
+        # need 1: every candidate is a clique. need 2: the cliques are
+        # the edges inside ``cand``, each seen from both endpoints.
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            n = 1 if need == 1 else (cand & masks[i]).bit_count()
+            local[i] += n
+            total += n
+        return total if need == 1 else total // 2
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        nxt = rest & masks[i]
+        if nxt.bit_count() >= need - 1:
+            n = _count_rec(masks, nxt, need - 1, local, deadline)
+            local[i] += n
+            total += n
+    return total
 
 
 def find_first_clique(
@@ -118,22 +182,27 @@ def find_first_clique(
     """Algorithm 1's ``FindOne``: the first k-clique encountered among
     the (still valid) out-neighbours of ``source``. Deterministic:
     candidates are scanned in ascending node id."""
-    cand = _filter_valid(_out(adj, source), valid)
-    if len(cand) < k - 1:
+    loc = _local(adj, source, valid, k - 1)
+    if loc is None:
         return None
-    got = _first_rec(adj, cand, k - 1, (source,), valid)
+    ids, masks = loc
+    got = _first_rec(ids, masks, (1 << len(ids)) - 1, k - 1, (source,))
     return tuple(sorted(got)) if got is not None else None
 
 
-def _first_rec(adj, cand, need, prefix, valid):
+def _first_rec(ids, masks, cand, need, prefix):
     if need == 1:
-        if len(cand) == 0:
+        if not cand:
             return None
-        return prefix + (int(cand[0]),)
-    for v in cand:
-        nxt = np.intersect1d(cand, _filter_valid(_out(adj, int(v)), valid), assume_unique=True)
-        if len(nxt) >= need - 1:
-            got = _first_rec(adj, nxt, need - 1, prefix + (int(v),), valid)
+        return prefix + (ids[(cand & -cand).bit_length() - 1],)
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        nxt = cand & masks[i]
+        if nxt.bit_count() >= need - 1:
+            got = _first_rec(ids, masks, nxt, need - 1, prefix + (ids[i],))
             if got is not None:
                 return got
     return None
@@ -161,41 +230,55 @@ def find_min_clique(
     counts recursion candidates, to measure what pruning saves (L = no
     pruning vs LP = pruning; paper Fig. 6's L-vs-LP gap).
     """
-    cand = _filter_valid(_out(adj, source), valid)
-    if len(cand) < k - 1:
+    loc = _local(adj, source, valid, k - 1)
+    if loc is None:
         return None
+    ids, masks = loc
+    local_scores = [scores.get(v, 0) for v in ids]
     best: list = [None, None]  # [score, members]
-    s0 = scores.get(source, 0)
-    _min_rec(adj, scores, cand, k - 1, (source,), s0, best, valid, prune, stats)
+    visited = _min_rec(ids, masks, local_scores, (1 << len(ids)) - 1, k - 1, (source,),
+                       scores.get(source, 0), best, prune)
+    if stats is not None:
+        stats["visited"] = stats.get("visited", 0) + visited
     if best[0] is None:
         return None
     return int(best[0]), best[1]
 
 
-def _min_rec(adj, scores, cand, need, prefix, s_cur, best, valid, prune, stats):
-    if stats is not None:
-        stats["visited"] = stats.get("visited", 0) + len(cand)
+def _min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):
+    """Returns the number of candidates visited (``cand`` and below)."""
+    visited = cand.bit_count()
+    rest = cand
     if need == 1:
-        for c in cand:
-            c = int(c)
-            s = s_cur + scores.get(c, 0)
-            if prune and best[0] is not None and s > best[0]:
-                continue
-            members = tuple(sorted(prefix + (c,)))
-            if best[0] is None or (s, members) < (best[0], best[1]):
-                best[0], best[1] = s, members
-        return
-    for v in cand:
-        v = int(v)
-        s_v = s_cur + scores.get(v, 0)
+        # With the prefix fixed, a smaller id makes a smaller member
+        # tuple, so the lowest (score, id) candidate is the best here.
+        low_s = low_i = None
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if low_s is None or local_scores[i] < low_s:
+                low_s, low_i = local_scores[i], i
+        s = s_cur + low_s
+        members = tuple(sorted(prefix + (ids[low_i],)))
+        if best[0] is None or (s, members) < (best[0], best[1]):
+            best[0], best[1] = s, members
+        return visited
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        s_v = s_cur + local_scores[i]
         # Prune: every completion adds `need - 1` more nodes with
         # scores >= s_n(v) is not guaranteed, so the sound bound is the
         # partial sum alone (as in the paper, Lines 19/27).
         if prune and best[0] is not None and s_v > best[0]:
             continue
-        nxt = np.intersect1d(cand, _filter_valid(_out(adj, v), valid), assume_unique=True)
-        if len(nxt) >= need - 1:
-            _min_rec(adj, scores, nxt, need - 1, prefix + (v,), s_v, best, valid, prune, stats)
+        nxt = cand & masks[i]
+        if nxt.bit_count() >= need - 1:
+            visited += _min_rec(ids, masks, local_scores, nxt, need - 1, prefix + (ids[i],),
+                                s_v, best, prune)
+    return visited
 
 
 # ---- undirected-neighbourhood kernels (dynamic maintenance) -------------

@@ -30,8 +30,13 @@ from pyspark.sql import functions as F
 
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.prepare import Prepared
 from repro.core.scores import collect_scores, score_ordering
 from repro.graphs import adjacency as adj_mod
+
+# Score of a HeapInit row whose source roots no clique: clique scores
+# are sums of node scores, so never negative.
+_NO_CLIQUE = -1
 
 
 @dataclass
@@ -62,12 +67,12 @@ def lp(
         scores = collect_scores(scores_df)
         if budget is not None:
             budget.check_time()
-        heap_rows = _heap_init_spark(spark, adj, scores, k, prune, budget)
+        heap_rows, visited = _heap_init_spark(spark, adj, scores, k, prune, budget)
     except (SimulatedOOM, SimulatedOOT):
         raise
     except Exception as exc:
         raise translate_spark_error(exc) from exc
-    return _calculation(adj, scores, heap_rows, k, prune)
+    return _calculation(adj, scores, heap_rows, visited, k, prune)
 
 
 def _heap_init_spark(
@@ -77,10 +82,11 @@ def _heap_init_spark(
     k: int,
     prune: bool,
     budget: Budget | None,
-) -> list[tuple[int, tuple[int, ...], int, int]]:
+) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
     """Parallel ``HeapInit`` (Algorithm 3 lines 10-14): one FindMin per
-    source node, fanned out with mapInPandas. Returns
-    ``(score, members, source, visited)`` rows."""
+    source node, fanned out with mapInPandas. Returns the
+    ``(score, members, source)`` heap rows and the ``visited`` count
+    summed over every source, including those that root no clique."""
     sc = spark.sparkContext
     bc_adj = sc.broadcast(adj)
     bc_scores = sc.broadcast(scores)
@@ -105,8 +111,8 @@ def _heap_init_spark(
                 got = kernels.find_min_clique(
                     a, s, int(src), k, valid=None, prune=prune, stats=st
                 )
-                if got is not None:
-                    rows.append((int(src), got[0], st.get("visited", 0)) + got[1])
+                score, members = got if got is not None else (_NO_CLIQUE, (0,) * k)
+                rows.append((int(src), score, st.get("visited", 0)) + members)
         columns = ["source", "score", "visited"] + cols
         yield (
             pd.DataFrame(rows, columns=columns, dtype="int64")
@@ -116,23 +122,25 @@ def _heap_init_spark(
 
     sources = clique_listing._sources_df(spark, adj, k)
     pdf = sources.mapInPandas(run, schema=schema).toPandas()
+    visited = int(pdf["visited"].sum())
     out = []
-    for r in pdf.itertuples(index=False):
+    for r in pdf[pdf["score"] != _NO_CLIQUE].itertuples(index=False):
         members = tuple(int(getattr(r, c)) for c in cols)
-        out.append((int(r.score), members, int(r.source), int(r.visited)))
-    return out
+        out.append((int(r.score), members, int(r.source)))
+    return out, visited
 
 
 def _calculation(
     adj: dict[int, np.ndarray],
     scores: dict[int, int],
-    heap_rows: list[tuple[int, tuple[int, ...], int, int]],
+    heap_rows: list[tuple[int, tuple[int, ...], int]],
+    visited: int,
     k: int,
     prune: bool,
 ) -> LPResult:
-    """Driver ``Calculation`` (Algorithm 3 lines 31-39)."""
-    visited = sum(r[3] for r in heap_rows)
-    heap = [(score, members, src) for score, members, src, _ in heap_rows]
+    """Driver ``Calculation`` (Algorithm 3 lines 31-39); ``visited``
+    starts from HeapInit's count."""
+    heap = list(heap_rows)
     heapq.heapify(heap)
     n_max = 0
     for u, nb in adj.items():
@@ -162,18 +170,19 @@ def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
     """Spark-free Algorithm 3 on a canonical edge array — identical
     ordering/scoring/tie-breaks as the Spark path. Used by fast unit
     tests and as the dynamic module's from-scratch baseline."""
-    rank0 = adj_mod.rank_by_degree(edges)
-    adj0 = adj_mod.orient_by_rank(edges, rank0)
-    counts: dict[int, int] = {}
-    for u in adj0:
-        kernels.count_from_source(adj0, u, k, counts)
-    nodes = set(map(int, edges.reshape(-1)))
-    rank = adj_mod.rank_from_scores(counts, nodes)
-    adj = adj_mod.orient_by_rank(edges, rank)
+    return lp_driver(Prepared(edges, k), prune)
+
+
+def lp_driver(prep: Prepared, prune: bool = True) -> LPResult:
+    """Algorithm 3 on the driver over a prepared graph: HeapInit as a
+    loop over the sources, then ``Calculation``."""
+    adj, scores = prep.adj, prep.scores
     heap_rows = []
+    visited = 0
     for u in sorted(adj):
         st: dict = {}
-        got = kernels.find_min_clique(adj, counts, u, k, None, prune, st)
+        got = kernels.find_min_clique(adj, scores, u, prep.k, None, prune, st)
+        visited += st.get("visited", 0)
         if got is not None:
-            heap_rows.append((got[0], got[1], u, st.get("visited", 0)))
-    return _calculation(adj, counts, heap_rows, k, prune)
+            heap_rows.append((got[0], got[1], u))
+    return _calculation(adj, scores, heap_rows, visited, prep.k, prune)

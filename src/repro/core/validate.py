@@ -65,16 +65,29 @@ def brute_force_all_kcliques(edges: np.ndarray, k: int) -> set[tuple[int, ...]]:
 
 def brute_force_max_disjoint(edges: np.ndarray, k: int) -> int:
     """Exact maximum |S| by exhaustive search over all k-cliques
-    (tiny graphs only) — validates OPT's branch-and-bound."""
-    cliques = sorted(brute_force_all_kcliques(edges, k))
+    (tiny graphs only) — validates OPT's branch-and-bound.
 
-    def rec(i: int, used: set[int]) -> int:
-        best = 0
-        for j in range(i, len(cliques)):
-            c = cliques[j]
-            if not used.isdisjoint(c):
-                continue
-            best = max(best, 1 + rec(j + 1, used | set(c)))
-        return best
+    Branch and bound: the cliques still open after choosing ``cur`` of
+    them can add at most (their node count) // k more, so a branch
+    stops once that cannot beat the best size found. The bound only
+    cuts branches that cannot win, so the result stays exact.
+    """
+    best = 0
 
-    return rec(0, set())
+    def rec(avail: list[frozenset[int]], cur: int) -> None:
+        nonlocal best
+        best = max(best, cur)
+        # room[j]: the node count of avail[j:], the most the cliques
+        # from j on can still cover.
+        room = [0] * (len(avail) + 1)
+        seen: set[int] = set()
+        for j in range(len(avail) - 1, -1, -1):
+            seen |= avail[j]
+            room[j] = len(seen)
+        for j, c in enumerate(avail):
+            if cur + room[j] // k <= best:
+                return  # room only shrinks as j grows
+            rec([d for d in avail[j + 1:] if c.isdisjoint(d)], cur + 1)
+
+    rec([frozenset(c) for c in sorted(brute_force_all_kcliques(edges, k))], 0)
+    return best

@@ -108,19 +108,3 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
             for c in dead:
                 owner_set.discard(c)
     return len(state.S) - before
-
-
-def apply_workload(state: DynamicState, ops) -> dict:
-    """Apply a sequence of ('ins'|'del', u, v) updates; returns simple
-    counters (used by the Table VIII harness and benchmarks)."""
-    stats = {"ins": 0, "del": 0, "delta_S": 0}
-    for op, u, v in ops:
-        if op == "ins":
-            stats["delta_S"] += insert_edge(state, u, v)
-            stats["ins"] += 1
-        elif op == "del":
-            stats["delta_S"] += delete_edge(state, u, v)
-            stats["del"] += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown op {op!r}")
-    return stats

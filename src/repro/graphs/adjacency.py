@@ -8,12 +8,13 @@ its highest-``eta`` member. Orderings and orientation are computed
 with the DataFrame API (window rank + joins); the oriented adjacency
 is then collected into a dict of sorted numpy arrays, which is what
 the enumeration kernels (driver-side and broadcast to ``mapInPandas``
-workers) consume.
+workers) consume. The driver-only paths (``*_numpy`` algorithms, the
+dynamic code) rank and orient the numpy edge array directly with the
+same ties.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
@@ -40,14 +41,6 @@ def ordering_by_degree(edges_df: DataFrame) -> DataFrame:
     ties broken by node id (Section IV-A's degree ordering)."""
     w = Window.orderBy(F.col("degree").asc(), F.col("node").asc())
     return degrees(edges_df).select(
-        "node", (F.row_number().over(w) - F.lit(1)).alias("rank")
-    )
-
-
-def ordering_by_id(edges_df: DataFrame) -> DataFrame:
-    """Total ordering by raw node id (used by reference/brute paths)."""
-    w = Window.orderBy(F.col("node").asc())
-    return nodes_df(edges_df).select(
         "node", (F.row_number().over(w) - F.lit(1)).alias("rank")
     )
 
@@ -79,34 +72,23 @@ def oriented_edges(edges_df: DataFrame, ordering: DataFrame) -> DataFrame:
 def collect_out_adjacency(oriented_df: DataFrame) -> dict[int, np.ndarray]:
     """Oriented out-adjacency as ``{u: sorted int64 array of N+(u)}``.
 
-    This is the structure the enumeration kernels intersect on
-    (``np.intersect1d`` with ``assume_unique=True``), both on the
-    driver and inside ``mapInPandas`` tasks via a broadcast.
+    This is the structure the enumeration kernels build their per-source
+    bitset subgraphs from, both on the driver and inside
+    ``mapInPandas`` tasks via a broadcast.
     """
     pdf = oriented_df.toPandas()
     return _group_sorted(pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64))
 
 
-def collect_adjacency(edges_df: DataFrame) -> dict[int, np.ndarray]:
-    """Undirected adjacency as ``{u: sorted neighbour array}``."""
-    pdf = edges_df.toPandas()
-    s = pdf["src"].to_numpy(np.int64)
-    d = pdf["dst"].to_numpy(np.int64)
-    return _group_sorted(np.concatenate([s, d]), np.concatenate([d, s]))
-
-
 def _group_sorted(key: np.ndarray, val: np.ndarray) -> dict[int, np.ndarray]:
+    """``{key: sorted values}``; the arrays are views of one buffer."""
     order = np.lexsort((val, key))
     key, val = key[order], val[order]
-    out: dict[int, np.ndarray] = {}
-    if len(key) == 0:
-        return out
-    bounds = np.flatnonzero(np.diff(key)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(key)]])
-    for s_, e_ in zip(starts, ends):
-        out[int(key[s_])] = val[s_:e_].copy()
-    return out
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], len(key)).tolist()
+    return {u: val[s:e] for u, s, e in zip(key[starts].tolist(), starts.tolist(), ends)}
 
 
 # ---- driver-side (numpy, no Spark) helpers shared by the dynamic code ----
@@ -124,31 +106,31 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
 def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> dict[int, np.ndarray]:
     """Driver-side DAG orientation: ``u -> v`` iff ``rank[u] > rank[v]``.
     Returns out-adjacency arrays sorted by node id."""
-    srcs, dsts = [], []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if rank[u] > rank[v]:
-            srcs.append(u)
-            dsts.append(v)
-        else:
-            srcs.append(v)
-            dsts.append(u)
-    return _group_sorted(np.asarray(srcs, np.int64), np.asarray(dsts, np.int64))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    nodes = np.fromiter(rank.keys(), dtype=np.int64, count=len(rank))
+    ranks = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
+    order = np.argsort(nodes)
+    nodes, ranks = nodes[order], ranks[order]
+    u, v = edges[:, 0], edges[:, 1]
+    up = ranks[np.searchsorted(nodes, u)] > ranks[np.searchsorted(nodes, v)]
+    return _group_sorted(np.where(up, u, v), np.where(up, v, u))
 
 
 def rank_by_degree(edges: np.ndarray) -> dict[int, int]:
     """Driver-side degree ordering with id tie-break (matches
     :func:`ordering_by_degree`)."""
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[int(u)] = deg.get(int(u), 0) + 1
-        deg[int(v)] = deg.get(int(v), 0) + 1
-    ordered = sorted(deg, key=lambda x: (deg[x], x))
-    return {u: i for i, u in enumerate(ordered)}
+    nodes, deg = np.unique(np.asarray(edges, dtype=np.int64), return_counts=True)
+    return _ranks(nodes[np.lexsort((nodes, deg))])
 
 
 def rank_from_scores(scores: dict[int, int], nodes) -> dict[int, int]:
     """Driver-side score ordering with id tie-break (matches
-    :func:`ordering_from_scores`)."""
-    ordered = sorted(nodes, key=lambda x: (scores.get(x, 0), x))
-    return {u: i for i, u in enumerate(ordered)}
+    :func:`ordering_from_scores`); a node without a score counts as 0."""
+    nodes = np.fromiter(nodes, dtype=np.int64)
+    score = np.fromiter((scores.get(v, 0) for v in nodes.tolist()), dtype=np.int64, count=len(nodes))
+    return _ranks(nodes[np.lexsort((nodes, score))])
+
+
+def _ranks(ordered: np.ndarray) -> dict[int, int]:
+    """``{node: position}``, built in rank order."""
+    return dict(zip(ordered.tolist(), range(len(ordered))))

@@ -44,3 +44,136 @@ def paper_fig5_g1_edges() -> np.ndarray:
         (9, 10), (9, 11), (10, 11),
     ]
     return np.array(sorted(e), dtype=np.int64)
+
+
+# ---- reference oracle: the np.intersect1d kernels and the loop-based
+# rank/orient helpers that the bitset kernels and the numpy preparation
+# replaced. Property tests assert the replacements agree with these
+# exactly, including listing order and the FindMin ``visited`` counter.
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _ref_out(adj, u, valid=None):
+    arr = adj.get(u, _EMPTY)
+    if valid is None or len(arr) == 0:
+        return arr
+    return arr[valid[arr]]
+
+
+def ref_enumerate_from_source(adj, source, k, valid=None, out=None):
+    if out is None:
+        out = []
+    cand = _ref_out(adj, source, valid)
+    if len(cand) >= k - 1:
+        _ref_enum_rec(adj, cand, k - 1, (source,), valid, out)
+    return out
+
+
+def _ref_enum_rec(adj, cand, need, prefix, valid, out):
+    if need == 1:
+        for c in cand:
+            out.append(tuple(sorted(prefix + (int(c),))))
+        return
+    for v in cand:
+        nxt = np.intersect1d(cand, _ref_out(adj, int(v), valid), assume_unique=True)
+        if len(nxt) >= need - 1:
+            _ref_enum_rec(adj, nxt, need - 1, prefix + (int(v),), valid, out)
+
+
+def ref_count_from_source(adj, source, k, counts):
+    cand = _ref_out(adj, source)
+    if len(cand) >= k - 1:
+        _ref_count_rec(adj, cand, k - 1, [source], counts)
+
+
+def _ref_count_rec(adj, cand, need, prefix, counts):
+    if need == 1:
+        if len(cand) == 0:
+            return
+        for p in prefix:
+            counts[p] = counts.get(p, 0) + len(cand)
+        for c in cand:
+            counts[int(c)] = counts.get(int(c), 0) + 1
+        return
+    for v in cand:
+        nxt = np.intersect1d(cand, _ref_out(adj, int(v)), assume_unique=True)
+        if len(nxt) >= need - 1:
+            prefix.append(int(v))
+            _ref_count_rec(adj, nxt, need - 1, prefix, counts)
+            prefix.pop()
+
+
+def ref_find_first_clique(adj, source, k, valid):
+    cand = _ref_out(adj, source, valid)
+    if len(cand) < k - 1:
+        return None
+    got = _ref_first_rec(adj, cand, k - 1, (source,), valid)
+    return tuple(sorted(got)) if got is not None else None
+
+
+def _ref_first_rec(adj, cand, need, prefix, valid):
+    if need == 1:
+        return prefix + (int(cand[0]),) if len(cand) else None
+    for v in cand:
+        nxt = np.intersect1d(cand, _ref_out(adj, int(v), valid), assume_unique=True)
+        if len(nxt) >= need - 1:
+            got = _ref_first_rec(adj, nxt, need - 1, prefix + (int(v),), valid)
+            if got is not None:
+                return got
+    return None
+
+
+def ref_find_min_clique(adj, scores, source, k, valid=None, prune=True, stats=None):
+    cand = _ref_out(adj, source, valid)
+    if len(cand) < k - 1:
+        return None
+    best: list = [None, None]
+    _ref_min_rec(adj, scores, cand, k - 1, (source,), scores.get(source, 0),
+                 best, valid, prune, stats)
+    return None if best[0] is None else (int(best[0]), best[1])
+
+
+def _ref_min_rec(adj, scores, cand, need, prefix, s_cur, best, valid, prune, stats):
+    if stats is not None:
+        stats["visited"] = stats.get("visited", 0) + len(cand)
+    if need == 1:
+        for c in cand:
+            c = int(c)
+            s = s_cur + scores.get(c, 0)
+            if prune and best[0] is not None and s > best[0]:
+                continue
+            members = tuple(sorted(prefix + (c,)))
+            if best[0] is None or (s, members) < (best[0], best[1]):
+                best[0], best[1] = s, members
+        return
+    for v in cand:
+        v = int(v)
+        s_v = s_cur + scores.get(v, 0)
+        if prune and best[0] is not None and s_v > best[0]:
+            continue
+        nxt = np.intersect1d(cand, _ref_out(adj, v, valid), assume_unique=True)
+        if len(nxt) >= need - 1:
+            _ref_min_rec(adj, scores, nxt, need - 1, prefix + (v,), s_v, best, valid, prune, stats)
+
+
+def ref_rank_by_degree(edges):
+    deg: dict[int, int] = {}
+    for u, v in edges:
+        deg[int(u)] = deg.get(int(u), 0) + 1
+        deg[int(v)] = deg.get(int(v), 0) + 1
+    return {u: i for i, u in enumerate(sorted(deg, key=lambda x: (deg[x], x)))}
+
+
+def ref_rank_from_scores(scores, nodes):
+    ordered = sorted(nodes, key=lambda x: (scores.get(x, 0), x))
+    return {u: i for i, u in enumerate(ordered)}
+
+
+def ref_orient_by_rank(edges, rank):
+    out: dict[int, list[int]] = {}
+    for u, v in edges:
+        u, v = int(u), int(v)
+        src, dst = (u, v) if rank[u] > rank[v] else (v, u)
+        out.setdefault(src, []).append(dst)
+    return {u: np.asarray(sorted(nb), dtype=np.int64) for u, nb in out.items()}

@@ -39,7 +39,10 @@ def test_gc_spark_equals_numpy(spark, ftb, k):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_lp_spark_equals_numpy(spark, ftb, k):
     e, df = ftb
-    assert sorted(lp(spark, df, k).S) == sorted(lp_numpy(e, k).S)
+    got, want = lp(spark, df, k), lp_numpy(e, k)
+    assert sorted(got.S) == sorted(want.S)
+    # HeapInit counts every source's FindMin work on both paths.
+    assert got.visited == want.visited
 
 
 @pytest.mark.parametrize("k", [3, 4])

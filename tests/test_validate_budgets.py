@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import validate
+from repro.core.mis import exact_mis
 from repro.core.budgets import (
     Budget,
     OOM_MARKER,
@@ -15,7 +16,7 @@ from repro.core.budgets import (
 )
 from repro.graphs import adjacency as adj_mod
 
-from tests.helpers import paper_fig2_edges
+from tests.helpers import paper_fig2_edges, random_graph
 
 
 def test_is_clique_and_not():
@@ -56,6 +57,18 @@ def test_is_maximal_cases():
 
 def test_brute_force_max_disjoint_fig2():
     assert validate.brute_force_max_disjoint(paper_fig2_edges(), 3) == 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["pp", "plc", "er"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_brute_force_max_disjoint_equals_clique_graph_mis(seed, kind, k):
+    """The bounded search is exact: it equals the maximum independent
+    set of the clique graph (cliques adjacent iff they share a node)."""
+    e = random_graph(seed, 20, kind)
+    cliques = sorted(validate.brute_force_all_kcliques(e, k))
+    cg = {c: {d for d in cliques if d != c and set(c) & set(d)} for c in cliques}
+    assert validate.brute_force_max_disjoint(e, k) == len(exact_mis(cg))
 
 
 def test_brute_force_all_kcliques_sizes():
