@@ -1,11 +1,11 @@
 """Distributed k-clique listing and counting (DataFrame API).
 
-The substrate every algorithm shares. Two implementations:
+The substrate GC, OPT and Table I's counting share. Two implementations:
 
 - :func:`list_kcliques` / :func:`node_clique_counts` — the production
-  path: orient the graph by a total ordering computed with window
-  functions, broadcast the oriented adjacency, and fan the per-source
-  kClist recursion out over a partitioned source-node DataFrame with
+  path: broadcast the degree-oriented adjacency of a driver
+  :class:`~repro.core.prepare.Prepared` and fan the per-source kClist
+  recursion out over a partitioned source-node DataFrame with
   ``mapInPandas`` (Arrow). Counting never materializes cliques, which
   is what makes Algorithm 3 "lightweight".
 
@@ -25,25 +25,13 @@ from pyspark.sql import functions as F
 
 from repro.core import kernels
 from repro.core.budgets import Budget, translate_spark_error
-from repro.graphs import adjacency as adj_mod
+from repro.core.prepare import Prepared
+from repro.graphs import datasets
 
 
 def member_cols(k: int) -> list[str]:
     """Canonical member column names for a clique DataFrame."""
     return [f"m{i}" for i in range(k)]
-
-
-def _clique_schema(k: int) -> str:
-    return ", ".join(f"{c} long" for c in member_cols(k))
-
-
-def _prepare(
-    spark: SparkSession, edges_df: DataFrame, ordering: DataFrame
-) -> tuple[dict[int, np.ndarray], "pyspark.Broadcast"]:
-    """Orient by ``ordering``, collect out-adjacency, broadcast it."""
-    oriented = adj_mod.oriented_edges(edges_df, ordering)
-    adj = adj_mod.collect_out_adjacency(oriented)
-    return adj, spark.sparkContext.broadcast(adj)
 
 
 def _sources_df(spark: SparkSession, adj: dict[int, np.ndarray], k: int) -> DataFrame:
@@ -58,50 +46,41 @@ def _sources_df(spark: SparkSession, adj: dict[int, np.ndarray], k: int) -> Data
 
 
 def list_kcliques(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    ordering: DataFrame | None = None,
-    budget: Budget | None = None,
+    spark: SparkSession, prep: Prepared, budget: Budget | None = None
 ) -> DataFrame:
-    """All k-cliques of the graph, one row each, member columns
+    """All k-cliques of the graph, one row each: member columns
     ``m0 < m1 < ... < m{k-1}`` (node-id order — the canonical clique
-    identity). Each clique is produced exactly once, rooted at its
-    highest-ordering member."""
-    if ordering is None:
-        ordering = adj_mod.ordering_by_degree(edges_df)
-    _, bc = _prepare(spark, edges_df, ordering)
+    identity) and ``score`` = s_c(C) (Def. 6) from ``prep.scores``. Each
+    clique is produced exactly once, rooted at its highest-ordering
+    member of the degree orientation."""
+    k = prep.k
+    sc = spark.sparkContext
+    bc_adj, bc_scores = sc.broadcast(prep.degree_adj), sc.broadcast(prep.scores)
     deadline = budget.epoch_deadline if budget is not None else None
-    cols = member_cols(k)
+    cols = member_cols(k) + ["score"]
 
     def enum_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = bc.value
+        adj, scores = bc_adj.value, bc_scores.value
         for batch in batches:
-            rows: list[tuple[int, ...]] = []
+            cliques: list[tuple[int, ...]] = []
             for src in batch["source"].to_numpy(np.int64):
-                kernels.enumerate_from_source(adj, int(src), k, out=rows, deadline=deadline)
-            yield pd.DataFrame(rows, columns=cols, dtype="int64") if rows else pd.DataFrame(
-                {c: pd.Series(dtype="int64") for c in cols}
-            )
+                kernels.enumerate_from_source(adj, int(src), k, out=cliques, deadline=deadline)
+            rows = [c + (sum(map(scores.__getitem__, c)),) for c in cliques]
+            yield pd.DataFrame(rows, columns=cols, dtype="int64")
 
-    sources = _sources_df(spark, bc.value, k)
-    return sources.mapInPandas(enum_batches, schema=_clique_schema(k))
+    sources = _sources_df(spark, prep.degree_adj, k)
+    return sources.mapInPandas(enum_batches, schema=", ".join(f"{c} long" for c in cols))
 
 
 def node_clique_counts(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    ordering: DataFrame | None = None,
-    budget: Budget | None = None,
+    spark: SparkSession, prep: Prepared, budget: Budget | None = None
 ) -> DataFrame:
     """Node scores (Def. 5): ``(node, score)`` where score is the
     number of k-cliques containing the node; nodes in no k-clique get
     score 0. Cliques are never stored: each task folds its sources'
     enumerations into a local counter (Algorithm 3 line 2)."""
-    if ordering is None:
-        ordering = adj_mod.ordering_by_degree(edges_df)
-    _, bc = _prepare(spark, edges_df, ordering)
+    k = prep.k
+    bc = spark.sparkContext.broadcast(prep.degree_adj)
     deadline = budget.epoch_deadline if budget is not None else None
 
     def count_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -117,13 +96,14 @@ def node_clique_counts(
             }
         )
 
-    sources = _sources_df(spark, bc.value, k)
+    sources = _sources_df(spark, prep.degree_adj, k)
     partials = sources.mapInPandas(count_batches, schema="node long, partial long")
     sums = partials.groupBy("node").agg(F.sum("partial").alias("score"))
-    return (
-        adj_mod.nodes_df(edges_df)
-        .join(sums, "node", "left")
-        .select("node", F.coalesce(F.col("score"), F.lit(0)).alias("score"))
+    nodes = spark.createDataFrame(
+        pd.DataFrame({"node": pd.Series(list(prep.degree_rank), dtype="int64")})
+    )
+    return nodes.join(sums, "node", "left").select(
+        "node", F.coalesce(F.col("score"), F.lit(0)).alias("score")
     )
 
 
@@ -131,14 +111,14 @@ def count_kcliques(
     spark: SparkSession,
     edges_df: DataFrame,
     k: int,
-    ordering: DataFrame | None = None,
     budget: Budget | None = None,
 ) -> int:
     """Total number of k-cliques: sum of node scores divided by k
     (every clique contributes once per member)."""
     try:
+        prep = Prepared(datasets.df_to_edges(edges_df), k)
         total = (
-            node_clique_counts(spark, edges_df, k, ordering, budget)
+            node_clique_counts(spark, prep, budget)
             .agg(F.sum("score").alias("s"))
             .collect()[0]["s"]
         )

@@ -1,8 +1,8 @@
 """GC — Algorithm 2: greedy over all cliques by ascending clique score.
 
 Materializes every k-clique (that is GC's defining cost — the paper's
-OOM cells, reproduced here via the Budget), attaches clique scores,
-then selects cliques in ascending ``(s_c(C), member tuple)`` order,
+OOM cells, reproduced here via the Budget) with its clique score, then
+selects cliques in ascending ``(s_c(C), member tuple)`` order,
 skipping any clique that intersects an already chosen one.
 
 Two selection paths produce the identical S:
@@ -26,7 +26,8 @@ from pyspark.sql import functions as F
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
 from repro.core.prepare import Prepared
-from repro.core.scores import key_col, with_clique_scores
+from repro.core.scores import clique_id_col, key_col
+from repro.graphs import datasets
 
 
 @dataclass
@@ -68,15 +69,12 @@ def gc(
     rounds (tests do, to exercise that path).
     """
     try:
-        from repro.core.scores import score_ordering
-
-        ordering, scores_df = score_ordering(spark, edges_df, k, budget=budget)
-        n_cliques = clique_listing.count_kcliques(spark, edges_df, k, ordering, budget=budget)
+        prep = Prepared(datasets.df_to_edges(edges_df), k)
+        n_cliques = sum(prep.scores.values()) // k
         if budget is not None:
             budget.check_count(n_cliques)  # GC must store all of them
             budget.check_time()
-        cliques_df = clique_listing.list_kcliques(spark, edges_df, k, ordering, budget=budget)
-        scored_df = with_clique_scores(cliques_df, scores_df, k)
+        scored_df = clique_listing.list_kcliques(spark, prep, budget=budget)
         if n_cliques <= driver_threshold:
             pdf = scored_df.toPandas()
             cols = clique_listing.member_cols(k)
@@ -107,7 +105,12 @@ def select_distributed(
     the tail greedy composes exactly.
     """
     cols = clique_listing.member_cols(k)
-    df = scored_df.withColumn("key", key_col()).select("key", *cols).localCheckpoint()
+    df = (
+        scored_df.withColumn("cid", clique_id_col(k))
+        .withColumn("key", key_col())
+        .select("key", *cols)
+        .localCheckpoint()
+    )
     S: list[tuple[int, ...]] = []
     rounds = 0
     while True:
@@ -149,11 +152,12 @@ def select_distributed(
 
 
 def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
-    """Spark-free GC on a canonical edge array — identical ordering,
-    scoring and tie-breaks as the Spark path; used by fast unit tests,
-    Theorem-4 checks, and the dynamic module's from-scratch baseline."""
+    """Spark-free GC on a canonical edge array — the same preparation,
+    listing orientation and tie-breaks as the Spark path; used by fast
+    unit tests, Theorem-4 checks, and the dynamic module's from-scratch
+    baseline."""
     prep = Prepared(edges, k)
-    adj, counts = prep.adj, prep.scores
+    adj, counts = prep.degree_adj, prep.scores
     cliques: list[tuple[int, ...]] = []
     for u in adj:
         kernels.enumerate_from_source(adj, u, k, out=cliques)

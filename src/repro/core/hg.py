@@ -3,10 +3,10 @@
 Process nodes in ascending total order; for each still-valid node with
 enough valid out-neighbours, take the *first* k-clique found among its
 out-neighbourhood (``FindOne``), add it to S, and invalidate its
-members. Degree/ordering preparation and orientation run as Spark
-DataFrame jobs; the main loop is inherently sequential (each selection
-prunes later ones) and runs on the driver over the collected oriented
-adjacency — see DESIGN.md §2.
+members. The main loop is inherently sequential (each selection
+prunes later ones), so both entry points run it on the driver over the
+degree orientation of a :class:`~repro.core.prepare.Prepared`; the
+Spark entry point only collects its edge DataFrame — see DESIGN.md §2.
 """
 from __future__ import annotations
 
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import kernels
 from repro.core.prepare import Prepared
-from repro.graphs import adjacency as adj_mod
+from repro.graphs import datasets
 
 
 @dataclass
@@ -31,22 +30,10 @@ class HGResult:
         return len(self.S)
 
 
-def hg(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    ordering: DataFrame | None = None,
-) -> HGResult:
-    """Run Algorithm 1. Default ordering is the degree ordering
-    (larger degree => larger rank), the variant the paper benchmarks
-    as HG."""
-    if ordering is None:
-        ordering = adj_mod.ordering_by_degree(edges_df)
-    oriented = adj_mod.oriented_edges(edges_df, ordering)
-    adj = adj_mod.collect_out_adjacency(oriented)
-    order_pdf = ordering.orderBy(F.col("rank").asc()).toPandas()
-    nodes_in_order = order_pdf["node"].to_numpy(np.int64)
-    return hg_driver_from_oriented(adj, nodes_in_order, k)
+def hg(spark: SparkSession, edges_df: DataFrame, k: int) -> HGResult:
+    """Run Algorithm 1 with the degree ordering (larger degree =>
+    larger rank), the variant the paper benchmarks as HG."""
+    return hg_numpy(datasets.df_to_edges(edges_df), k)
 
 
 def hg_driver_from_oriented(
@@ -75,9 +62,8 @@ def hg_driver_from_oriented(
 
 
 def hg_numpy(edges: np.ndarray, k: int) -> HGResult:
-    """Spark-free HG on a canonical numpy edge array (same degree
-    ordering, same result) — used by fast unit tests and the dynamic
-    module's from-scratch comparisons."""
+    """HG on a canonical numpy edge array — used by :func:`hg`, fast
+    unit tests and the dynamic module's from-scratch comparisons."""
     prep = Prepared(edges, k)
     rank = prep.degree_rank
     nodes = np.asarray(sorted(rank, key=rank.__getitem__), dtype=np.int64)

@@ -4,16 +4,18 @@ Produces the same S as GC (Theorem 4 — exactly, because we fix the
 total clique order to ``(s_c(C), member tuple)`` everywhere) without
 ever storing the full clique set:
 
-1. node scores via counting (Spark, no cliques stored);
-2. score-based total ordering, DAG orientation (Spark);
-3. ``HeapInit``: for every source node in parallel (Spark
-   ``mapInPandas``), ``FindMin`` — the minimum-score clique rooted
-   there, with the score-driven pruning strategy (LP) or without (L);
-4. ``Calculation``: driver min-heap — pop the global minimum; if its
+1. node scores via counting, then the score-based total ordering and
+   DAG orientation — the driver's :class:`~repro.core.prepare.Prepared`
+   on both backends (the Spark entry point collects its edges first);
+2. ``HeapInit``: for every source node, ``FindMin`` — the minimum-score
+   clique rooted there, with the score-driven pruning strategy (LP) or
+   without (L); fanned out with Spark ``mapInPandas`` by :func:`lp`,
+   a driver loop in :func:`lp_driver`;
+3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
 
-Step 4's correctness: scores are static, so a still-valid stored local
+Step 3's correctness: scores are static, so a still-valid stored local
 minimum remains the minimum over the shrinking candidate set; the heap
 top is therefore always the global minimum remaining clique.
 """
@@ -26,13 +28,13 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
 from repro.core.prepare import Prepared
-from repro.core.scores import collect_scores, score_ordering
-from repro.graphs import adjacency as adj_mod
+# Unused; kept because perfbench.tracing.LAYERS looks this name up.
+from repro.core.scores import collect_scores  # noqa: F401
+from repro.graphs import datasets
 
 # Score of a HeapInit row whose source roots no clique: clique scores
 # are sums of node scores, so never negative.
@@ -61,10 +63,8 @@ def lp(
 ) -> LPResult:
     """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
     try:
-        ordering, scores_df = score_ordering(spark, edges_df, k, budget=budget)
-        oriented = adj_mod.oriented_edges(edges_df, ordering)
-        adj = adj_mod.collect_out_adjacency(oriented)
-        scores = collect_scores(scores_df)
+        prep = Prepared(datasets.df_to_edges(edges_df), k)
+        adj, scores = prep.adj, prep.scores
         if budget is not None:
             budget.check_time()
         heap_rows, visited = _heap_init_spark(spark, adj, scores, k, prune, budget)
@@ -101,12 +101,7 @@ def _heap_init_spark(
         rows = []
         for batch in batches:
             for src in batch["source"].to_numpy(np.int64):
-                import time as _t
-
-                if deadline is not None and _t.time() > deadline:
-                    from repro.core.budgets import OOT_MARKER
-
-                    raise SimulatedOOT(f"{OOT_MARKER}: HeapInit deadline")
+                kernels._check_deadline(deadline, "HeapInit")
                 st: dict = {}
                 got = kernels.find_min_clique(
                     a, s, int(src), k, valid=None, prune=prune, stats=st
@@ -167,8 +162,8 @@ def _calculation(
 
 
 def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
-    """Spark-free Algorithm 3 on a canonical edge array — identical
-    ordering/scoring/tie-breaks as the Spark path. Used by fast unit
+    """Spark-free Algorithm 3 on a canonical edge array — the same
+    preparation and tie-breaks as the Spark path. Used by fast unit
     tests and as the dynamic module's from-scratch baseline."""
     return lp_driver(Prepared(edges, k), prune)
 

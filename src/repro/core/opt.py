@@ -2,9 +2,11 @@
 
 The straightforward pipeline from Section I the paper argues is
 impractical: (i) list all k-cliques, (ii) build the clique graph,
-(iii) exact MIS on it. We run (i)-(ii) as Spark jobs and (iii) on the
-driver, under a Budget that reproduces the paper's OOM (too many
-cliques / clique-graph edges) and OOT (exact MIS) cells.
+(iii) exact MIS on it. We run (i)-(ii) as Spark jobs over the driver's
+:class:`~repro.core.prepare.Prepared` (the cliques are listed once and
+checkpointed) and (iii) on the driver, under a Budget that reproduces
+the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
+MIS) cells.
 """
 from __future__ import annotations
 
@@ -15,7 +17,9 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import clique_graph, clique_listing
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
 from repro.core.mis import exact_mis
+from repro.core.prepare import Prepared
 from repro.core.scores import clique_id_col
+from repro.graphs import datasets
 
 
 @dataclass
@@ -41,30 +45,18 @@ def opt(
 ) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
     try:
-        from pyspark.sql import functions as F
-
-        scores_df = clique_listing.node_clique_counts(spark, edges_df, k, budget=budget)
-        total = int(
-            scores_df.agg(F.sum("score").alias("s")).collect()[0]["s"] or 0
-        )
-        n_cliques = total // k
+        prep = Prepared(datasets.df_to_edges(edges_df), k)
         if budget is not None:
-            budget.check_count(n_cliques)
+            budget.check_count(sum(prep.scores.values()) // k)
             # Cheap upper bound on clique-graph edges from node scores:
             # cliques sharing node u form a clique of size s_n(u) in the
             # clique graph, so |E(G_C)| <= sum_u C(s_n(u), 2). Guard
             # BEFORE running the explode/self-join — the clique graph
             # is exactly where OPT blows up (Table III).
-            bound = int(
-                scores_df.agg(
-                    F.sum(F.col("score") * (F.col("score") - 1) / 2).alias("b")
-                ).collect()[0]["b"]
-                or 0
-            )
-            budget.check_count(bound)
+            budget.check_count(sum(s * (s - 1) // 2 for s in prep.scores.values()))
             budget.check_time()
-        cliques_df = clique_listing.list_kcliques(spark, edges_df, k)
-        cg = clique_graph.clique_graph_edges(cliques_df, k)
+        cliques_df = clique_listing.list_kcliques(spark, prep).localCheckpoint()
+        cg = clique_graph.clique_graph_edges(cliques_df, k).localCheckpoint()
         if budget is not None:
             budget.check_count(cg.count())
             budget.check_time()

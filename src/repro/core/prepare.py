@@ -1,11 +1,16 @@
-"""Driver-side preparation shared by the Spark-free algorithms.
+"""Driver-side preparation shared by every algorithm and both backends.
 
-Every ``*_numpy`` algorithm and the dynamic harnesses start from the same
-sequence on a numpy edge array: degree ordering -> DAG orientation ->
-node scores (Def. 5) -> score ordering (Algorithm 3 line 3) -> DAG
-orientation. ``Prepared(edges, k)`` runs it once per (graph, k); each stage is
-computed on first use, so HG, which needs only the degree orientation,
-never counts.
+HG, GC, L/LP and OPT, on Spark and on the driver, and the dynamic
+harnesses start from the same sequence on a numpy edge array: degree
+ordering -> DAG orientation -> node scores (Def. 5) -> score ordering
+(Algorithm 3 line 3) -> DAG orientation. The Spark entry points collect
+their edge DataFrame once and build the same ``Prepared``; Spark then
+only fans out the per-source work. ``Prepared(edges, k)`` runs the
+sequence once per (graph, k); each stage is computed on first use, so
+HG, which needs only the degree orientation, never counts, and only
+L/LP reaches the score ordering and its orientation (``rank``,
+``adj``): clique listing emits sorted member tuples, so GC and OPT list
+on the degree orientation.
 """
 from __future__ import annotations
 

@@ -3,27 +3,19 @@
 ``s_n(u)`` = number of k-cliques containing ``u``; ``s_c(C)`` =
 ``sum_{u in C} s_n(u)``. The clique score approximates the clique's
 degree in the clique graph (Theorem 2), which drives the selection
-order in Algorithms 2 and 3.
+order in Algorithms 2 and 3. Node scores are counted once per (graph, k)
+by :class:`repro.core.prepare.Prepared`; clique listing attaches
+``s_c`` to every clique it emits. This module holds the string columns
+that encode the fixed total clique order ``(s_c(C), member tuple)`` for
+the Spark selection and clique-graph jobs.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import clique_listing
-from repro.core.budgets import Budget
-from repro.graphs import adjacency as adj_mod
-
-
-def node_scores(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    budget: Budget | None = None,
-) -> DataFrame:
-    """``(node, score)`` for every node (0 when in no k-clique)."""
-    return clique_listing.node_clique_counts(spark, edges_df, k, budget=budget)
 
 
 def clique_id_col(k: int):
@@ -34,21 +26,6 @@ def clique_id_col(k: int):
     return F.concat_ws(",", *cols)
 
 
-def with_clique_scores(cliques_df: DataFrame, scores_df: DataFrame, k: int) -> DataFrame:
-    """Attach ``cid`` (canonical id) and ``score`` = s_c(C) to a clique
-    DataFrame via explode + join + re-aggregate (two shuffles, no
-    clique ever leaves the cluster)."""
-    cols = clique_listing.member_cols(k)
-    with_id = cliques_df.withColumn("cid", clique_id_col(k))
-    ex = with_id.select("cid", F.explode(F.array(*cols)).alias("node"))
-    summed = (
-        ex.join(scores_df, "node")
-        .groupBy("cid")
-        .agg(F.sum("score").alias("score"))
-    )
-    return with_id.join(summed, "cid")
-
-
 def key_col():
     """Total-order key ``(score, member tuple)`` as a single string:
     zero-padded score prefix + canonical cid. String comparison equals
@@ -56,16 +33,10 @@ def key_col():
     return F.concat_ws("|", F.format_string("%015d", F.col("score")), F.col("cid"))
 
 
+# No caller; kept because perfbench.tracing.LAYERS looks this name up.
 def collect_scores(scores_df: DataFrame) -> dict[int, int]:
-    """Node scores as a plain dict for the driver-side kernels."""
+    """``(node, score)`` DataFrame as a plain dict."""
     pdf = scores_df.toPandas()
     return dict(
         zip(pdf["node"].to_numpy(np.int64).tolist(), pdf["score"].to_numpy(np.int64).tolist())
     )
-
-
-def score_ordering(spark: SparkSession, edges_df: DataFrame, k: int, budget=None):
-    """Score-based total ordering (Algorithm 3 line 3) plus the score
-    DataFrame it was derived from."""
-    sc = node_scores(spark, edges_df, k, budget=budget)
-    return adj_mod.ordering_from_scores(sc), sc

@@ -154,3 +154,10 @@ def edges_to_df(spark: SparkSession, e: np.ndarray) -> DataFrame:
     """Wrap a canonical numpy edge array as a Spark DataFrame."""
     pdf = pd.DataFrame({"src": e[:, 0].astype("int64"), "dst": e[:, 1].astype("int64")})
     return spark.createDataFrame(pdf)
+
+
+def df_to_edges(edges_df: DataFrame) -> np.ndarray:
+    """Collect a ``(src, dst)`` DataFrame to the driver as a canonical
+    numpy edge array (the inverse of :func:`edges_to_df`)."""
+    pdf = edges_df.toPandas()
+    return gen._canonical(np.stack([pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)], axis=1))

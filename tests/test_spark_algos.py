@@ -9,7 +9,7 @@ from repro.core.gc import gc, gc_numpy
 from repro.core.hg import hg, hg_numpy
 from repro.core.lp import lp, lp_numpy
 from repro.core.opt import opt, opt_or_status
-from repro.core.scores import with_clique_scores, node_scores
+from repro.core.prepare import Prepared
 from repro.graphs import datasets
 
 from tests.helpers import paper_fig2_edges, random_graph
@@ -71,6 +71,15 @@ def test_lp_budget_oot(spark, ftb):
         lp(spark, df, 3, budget=Budget(max_seconds=-1.0))
 
 
+@pytest.mark.parametrize("algo", [gc, opt], ids=["gc", "opt"])
+def test_budget_oot_after_driver_count(spark, ftb, algo):
+    """The count runs on the driver without a deadline; the time budget
+    still fires before any clique is listed."""
+    _, df = ftb
+    with pytest.raises(SimulatedOOT):
+        algo(spark, df, 3, budget=Budget(max_seconds=-1.0))
+
+
 def test_opt_fig2_is_maximum(spark):
     e = paper_fig2_edges()
     df = datasets.edges_to_df(spark, e)
@@ -108,8 +117,7 @@ def test_clique_graph_fig2(spark):
     """Fig. 3: the clique graph of the running example has 7 nodes;
     C1 has degree 2."""
     e = paper_fig2_edges()
-    df = datasets.edges_to_df(spark, e)
-    cl = clique_listing.list_kcliques(spark, df, 3)
+    cl = clique_listing.list_kcliques(spark, Prepared(e, 3))
     cg = clique_graph.clique_graph_edges(cl, 3)
     from repro.core.scores import clique_id_col
 
@@ -125,11 +133,9 @@ def test_clique_graph_fig2(spark):
 
 
 def test_clique_scores_spark_match_driver(spark, ftb):
-    e, df = ftb
+    e, _ = ftb
     k = 3
-    scores_df = node_scores(spark, df, k)
-    cl = clique_listing.list_kcliques(spark, df, k)
-    scored = with_clique_scores(cl, scores_df, k).toPandas()
+    scored = clique_listing.list_kcliques(spark, Prepared(e, k)).toPandas()
     from repro.core import kernels
     from repro.graphs import adjacency as adj_mod
 

@@ -5,6 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.core import clique_listing, validate
+from repro.core.clique_listing import member_cols
+from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 from repro.oracle import assert_equivalent
@@ -20,8 +22,8 @@ def ftb(spark):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_list_kcliques_matches_brute(spark, ftb, k):
-    e, df = ftb
-    got = clique_listing.list_kcliques(spark, df, k).toPandas()
+    e, _ = ftb
+    got = clique_listing.list_kcliques(spark, Prepared(e, k)).toPandas()[member_cols(k)]
     got_set = {tuple(map(int, r)) for r in got.to_numpy()}
     assert got_set == validate.brute_force_all_kcliques(e, k)
 
@@ -43,8 +45,8 @@ def test_count_kcliques(spark, ftb, k):
 
 
 def test_node_scores_match_kernel_counts(spark, ftb):
-    e, df = ftb
-    got = clique_listing.node_clique_counts(spark, df, 3).toPandas()
+    e, _ = ftb
+    got = clique_listing.node_clique_counts(spark, Prepared(e, 3)).toPandas()
     got_map = dict(zip(got["node"].astype(int), got["score"].astype(int)))
     from repro.core import kernels
 
@@ -60,8 +62,8 @@ def test_node_scores_match_kernel_counts(spark, ftb):
 def test_triangle_count_against_duckdb_oracle(spark, ftb):
     """Independent-engine check: our Spark triangle listing count ==
     DuckDB's SQL self-join triangle count over the same edge table."""
-    e, df = ftb
-    triangles = clique_listing.list_kcliques(spark, df, 3)
+    e, _ = ftb
+    triangles = clique_listing.list_kcliques(spark, Prepared(e, 3))
     spark_count = triangles.groupBy().count().withColumnRenamed("count", "n_triangles")
     assert_equivalent(
         spark_count,
@@ -77,8 +79,8 @@ def test_triangle_count_against_duckdb_oracle(spark, ftb):
 
 def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
     """Node scores for k=3 == DuckDB per-node triangle membership."""
-    e, df = ftb
-    scores = clique_listing.node_clique_counts(spark, df, 3)
+    e, _ = ftb
+    scores = clique_listing.node_clique_counts(spark, Prepared(e, 3))
     assert_equivalent(
         scores,
         """
@@ -107,8 +109,7 @@ def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
 def test_four_clique_count_against_duckdb_oracle(spark):
     """k=4 counting cross-checked in SQL on a smaller graph."""
     e = random_graph(2, 30, "pp")
-    df = datasets.edges_to_df(spark, e)
-    cnt = clique_listing.list_kcliques(spark, df, 4).groupBy().count().withColumnRenamed("count", "n4")
+    cnt = clique_listing.list_kcliques(spark, Prepared(e, 4)).groupBy().count().withColumnRenamed("count", "n4")
     assert_equivalent(
         cnt,
         """
@@ -125,31 +126,32 @@ def test_four_clique_count_against_duckdb_oracle(spark):
 
 
 def test_member_columns_sorted_ascending(spark, ftb):
-    _, df = ftb
-    pdf = clique_listing.list_kcliques(spark, df, 4).toPandas()
-    arr = pdf.to_numpy()
+    e, _ = ftb
+    pdf = clique_listing.list_kcliques(spark, Prepared(e, 4)).toPandas()
+    arr = pdf[member_cols(4)].to_numpy()
     assert (np.diff(arr, axis=1) > 0).all()
 
 
-def test_orderings_spark_vs_driver(spark, ftb):
-    e, df = ftb
-    got = adj_mod.ordering_by_degree(df).toPandas()
-    got_map = dict(zip(got["node"].astype(int), got["rank"].astype(int)))
-    assert got_map == adj_mod.rank_by_degree(e)
-
-
-def test_oriented_edges_form_dag(spark, ftb):
-    e, df = ftb
-    ordering = adj_mod.ordering_by_degree(df)
-    oriented = adj_mod.oriented_edges(df, ordering).toPandas()
+def test_oriented_edges_form_dag(ftb):
+    e, _ = ftb
     rank = adj_mod.rank_by_degree(e)
-    for s, d in oriented.to_numpy():
-        assert rank[int(s)] > rank[int(d)]
-    assert len(oriented) == len(e)
+    adj = adj_mod.orient_by_rank(e, rank)
+    arcs = [(u, int(v)) for u, nb in adj.items() for v in nb]
+    for s, d in arcs:
+        assert rank[s] > rank[d]
+    assert len(arcs) == len(e)
 
 
 def test_fig2_spark_listing(spark):
     e = paper_fig2_edges()
-    df = datasets.edges_to_df(spark, e)
-    got = clique_listing.list_kcliques(spark, df, 3).toPandas()
+    got = clique_listing.list_kcliques(spark, Prepared(e, 3)).toPandas()
     assert len(got) == 7
+
+
+def test_df_to_edges_canonical(spark, ftb):
+    """The Spark entry points collect their edges with ``df_to_edges``;
+    reversed and repeated rows must give the canonical array back."""
+    e, df = ftb
+    assert np.array_equal(datasets.df_to_edges(df), e)
+    messy = datasets.edges_to_df(spark, np.concatenate([e[:, ::-1], e[:50]]))
+    assert np.array_equal(datasets.df_to_edges(messy), e)
