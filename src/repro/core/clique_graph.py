@@ -1,9 +1,11 @@
 """The clique graph (Def. 2): condensed graph over k-cliques.
 
 Nodes are k-cliques; an edge joins two cliques that share at least one
-graph node. Built with DataFrame explode + self-join. Only OPT (and
-the Theorem-2 bound tests) need this — the paper's point is that the
-proposed algorithms avoid materializing it.
+graph node. Built with DataFrame explode + self-join. A clique's id
+is the struct of its member columns ``m0 < ... < m{k-1}``, so ids
+compare as member tuples do. Only OPT (and the Theorem-2 bound tests)
+need this — the paper's point is that the proposed algorithms avoid
+materializing it.
 """
 from __future__ import annotations
 
@@ -11,14 +13,13 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import clique_listing
-from repro.core.scores import clique_id_col
 
 
 def clique_graph_edges(cliques_df: DataFrame, k: int) -> DataFrame:
-    """``(cid1, cid2)`` with cid1 < cid2: pairs of non-disjoint cliques."""
+    """``(cid1, cid2)`` with cid1 < cid2: pairs of non-disjoint cliques,
+    each id the struct of the clique's member columns."""
     cols = clique_listing.member_cols(k)
-    with_id = cliques_df.withColumn("cid", clique_id_col(k))
-    ex = with_id.select("cid", F.explode(F.array(*cols)).alias("node"))
+    ex = cliques_df.select(F.struct(*cols).alias("cid"), F.explode(F.array(*cols)).alias("node"))
     pairs = (
         ex.alias("a")
         .join(ex.alias("b"), F.col("a.node") == F.col("b.node"))

@@ -13,7 +13,9 @@ Two selection paths produce the identical S:
   minimum among all remaining cliques sharing any node with it. Every
   sequential-greedy pick eventually becomes such a local minimum, and
   every local minimum is a sequential-greedy pick, so the rounds
-  compute exactly the sequential result, in parallel.
+  compute exactly the sequential result, in parallel. The key is
+  ``struct(score, m0, ..., m{k-1})``: Spark orders structs field by
+  field, exactly as the driver orders ``(score, members)`` tuples.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from pyspark.sql import functions as F
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
 from repro.core.prepare import Prepared
-from repro.core.scores import clique_id_col, key_col
 from repro.graphs import datasets
 
 
@@ -76,13 +77,8 @@ def gc(
             budget.check_time()
         scored_df = clique_listing.list_kcliques(spark, prep, budget=budget)
         if n_cliques <= driver_threshold:
-            pdf = scored_df.toPandas()
-            cols = clique_listing.member_cols(k)
-            scored = [
-                (int(r.score), tuple(int(getattr(r, c)) for c in cols))
-                for r in pdf.itertuples(index=False)
-            ]
-            return GCResult("OK", greedy_by_score(scored), n_cliques=n_cliques)
+            S = greedy_by_score(_collect_scored(scored_df, k))
+            return GCResult("OK", S, n_cliques=n_cliques)
         S, rounds = select_distributed(spark, scored_df, k, driver_threshold)
         return GCResult("OK", S, n_cliques=n_cliques, rounds=rounds)
     except (SimulatedOOM, SimulatedOOT):
@@ -91,11 +87,17 @@ def gc(
         raise translate_spark_error(exc) from exc
 
 
+def _collect_scored(scored_df: DataFrame, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``(score, members)`` of every clique row, on the driver."""
+    rows = scored_df.select("score", *clique_listing.member_cols(k)).toPandas()
+    return [(r[0], tuple(r[1:])) for r in rows.to_numpy(np.int64).tolist()]
+
+
 def select_distributed(
     spark: SparkSession,
     scored_df: DataFrame,
     k: int,
-    driver_threshold: int = 100_000,
+    driver_threshold: int,
 ) -> tuple[list[tuple[int, ...]], int]:
     """Deterministic local-minimum selection rounds (see module doc).
 
@@ -105,12 +107,8 @@ def select_distributed(
     the tail greedy composes exactly.
     """
     cols = clique_listing.member_cols(k)
-    df = (
-        scored_df.withColumn("cid", clique_id_col(k))
-        .withColumn("key", key_col())
-        .select("key", *cols)
-        .localCheckpoint()
-    )
+    members = F.array(*(F.col("key")[c] for c in cols))
+    df = scored_df.select(F.struct("score", *cols).alias("key")).localCheckpoint()
     S: list[tuple[int, ...]] = []
     rounds = 0
     while True:
@@ -118,20 +116,10 @@ def select_distributed(
         if remaining == 0:
             break
         if remaining <= driver_threshold:
-            pdf = df.toPandas()
-            scored = [
-                # key string sorts identically to (score, members)
-                (r.key, tuple(int(getattr(r, c)) for c in cols))
-                for r in pdf.itertuples(index=False)
-            ]
-            used: set[int] = set()
-            for _, members in sorted(scored):
-                if all(v not in used for v in members):
-                    S.append(members)
-                    used.update(members)
+            S += greedy_by_score(_collect_scored(df.select("key.*"), k))
             break
         rounds += 1
-        ex = df.select("key", F.explode(F.array(*cols)).alias("node"))
+        ex = df.select("key", F.explode(members).alias("node"))
         node_min = ex.groupBy("node").agg(F.min("key").alias("mk"))
         winner_keys = (
             ex.join(node_min, "node")
@@ -141,9 +129,8 @@ def select_distributed(
             .select("key")
         )
         winners = df.join(winner_keys, "key", "left_semi").localCheckpoint()
-        for r in winners.toPandas().itertuples(index=False):
-            S.append(tuple(int(getattr(r, c)) for c in cols))
-        covered = winners.select(F.explode(F.array(*cols)).alias("node")).distinct()
+        S += [c for _, c in _collect_scored(winners.select("key.*"), k)]
+        covered = winners.select(F.explode(members).alias("node")).distinct()
         dead_keys = (
             ex.join(covered, "node", "left_semi").select("key").distinct()
         )

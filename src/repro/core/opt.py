@@ -6,19 +6,21 @@ impractical: (i) list all k-cliques, (ii) build the clique graph,
 :class:`~repro.core.prepare.Prepared` (the cliques are listed once and
 checkpointed) and (iii) on the driver, under a Budget that reproduces
 the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
-MIS) cells.
+MIS) cells. The MIS vertices are the cliques' member tuples, in the
+listing's row order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import clique_graph, clique_listing
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
 from repro.core.mis import exact_mis
 from repro.core.prepare import Prepared
-from repro.core.scores import clique_id_col
 from repro.graphs import datasets
 
 
@@ -60,24 +62,24 @@ def opt(
         if budget is not None:
             budget.check_count(cg.count())
             budget.check_time()
-        cg_pdf = cg.toPandas()
-        ids_pdf = cliques_df.withColumn("cid", clique_id_col(k)).toPandas()
+        cols = clique_listing.member_cols(k)
+        ends = [F.col(f"{end}.{c}").alias(f"{end}_{c}") for end in ("cid1", "cid2") for c in cols]
+        pairs = cg.select(*ends).toPandas().to_numpy(np.int64).tolist()
+        cliques = cliques_df.select(*cols).toPandas().to_numpy(np.int64).tolist()
     except (SimulatedOOM, SimulatedOOT):
         raise
     except Exception as exc:
         raise translate_spark_error(exc) from exc
 
-    members: dict[str, tuple[int, ...]] = {}
-    cols = clique_listing.member_cols(k)
-    for row in ids_pdf.itertuples(index=False):
-        members[getattr(row, "cid")] = tuple(int(getattr(row, c)) for c in cols)
-    adj: dict[str, set[str]] = {cid: set() for cid in members}
-    for row in cg_pdf.itertuples(index=False):
-        adj[row.cid1].add(row.cid2)
-        adj[row.cid2].add(row.cid1)
-    chosen = exact_mis(adj, budget=budget)
-    S = sorted(members[cid] for cid in chosen)
-    return OptResult("OK", S, n_cliques=len(members), n_cg_edges=len(cg_pdf))
+    # exact_mis reduces in dict order and breaks ties by (degree, vertex),
+    # so S depends on the insertion order: keep the listing's row order.
+    adj: dict[tuple[int, ...], set[tuple[int, ...]]] = {tuple(c): set() for c in cliques}
+    for row in pairs:
+        a, b = tuple(row[:k]), tuple(row[k:])
+        adj[a].add(b)
+        adj[b].add(a)
+    S = sorted(exact_mis(adj, budget=budget))
+    return OptResult("OK", S, n_cliques=len(adj), n_cg_edges=len(pairs))
 
 
 def opt_or_status(

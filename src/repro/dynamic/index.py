@@ -8,36 +8,39 @@ k-cliques on B except C — complete, because every candidate of C must
 lie inside B.
 
 ``build_index_spark`` parallelizes the per-clique enumeration with
-``mapInPandas`` (the paper's "for each clique in S in parallel");
-``candidates_for`` is the driver-side kernel reused incrementally by
-the update algorithms.
+``mapInPandas`` (the paper's "for each clique in S in parallel"), its
+tasks returning owner and candidate as member columns
+``o0..o{k-1}, c0..c{k-1}``; ``candidates_for`` is the driver-side
+kernel reused incrementally by the update algorithms. Both apply one
+candidate rule, ``_candidates``.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import kernels
-from repro.dynamic.state import Clique, DynamicState, canon
+from repro.dynamic.state import Clique, DynamicState
+
+
+def _candidates(state: DynamicState, c: Clique) -> set[Clique]:
+    """All candidate k-cliques of ``c`` per Definition in Section V-A:
+    k-cliques on ``B = c ∪ N_F(c)`` that use at least one node of ``c``
+    and at least one free node (so are not ``c`` itself)."""
+    cset = set(c)
+    B = cset | state.free_neighbors(c)
+    cands = kernels.cliques_in_subset(state.adj, B, state.k)
+    return {x for x in cands if 0 < len(cset.intersection(x)) < state.k}
 
 
 def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
-    """All candidate k-cliques of ``c`` per Definition in Section V-A:
-    k-cliques on ``B = c ∪ N_F(c)`` other than ``c`` that use at least
-    one node of ``c`` and at least one free node."""
-    cset = set(c)
-    B = cset | state.free_neighbors(c)
-    out: set[Clique] = set()
-    for cand in kernels.cliques_in_subset(state.adj, B, state.k):
-        if cand == c:
-            continue
-        non_free = [v for v in cand if v in cset]
-        if non_free and len(non_free) < state.k:
-            out.add(cand)
-    return out
+    """The candidates of ``c``. ``build_index_spark`` tasks call
+    ``_candidates`` instead, so that a wrapper installed on this name
+    in the driver (perfbench's tracer) is never shipped to executors."""
+    return _candidates(state, c)
 
 
 def build_index(state: DynamicState) -> None:
@@ -50,47 +53,35 @@ def build_index_spark(spark: SparkSession, state: DynamicState) -> int:
     """Spark-parallel Algorithm 5. Returns the index size (number of
     candidate cliques) and populates ``state.cand`` in place.
 
-    Each task receives clique rows; the adjacency and the free-node
-    set travel via broadcast. Output rows are (owner, candidate)
-    id-strings, decoded on the driver.
+    Each task receives clique rows and rebuilds, from broadcasts, the
+    part of the state the candidate rule reads: the adjacency and the
+    node -> owner map.
     """
     k = state.k
     if not state.S:
         return 0
-    bc_adj = spark.sparkContext.broadcast({u: sorted(nb) for u, nb in state.adj.items()})
-    bc_nonfree = spark.sparkContext.broadcast(set(state.node2c))
+    bc_adj = spark.sparkContext.broadcast(state.adj)
+    bc_node2c = spark.sparkContext.broadcast(state.node2c)
+    cols = [f"o{i}" for i in range(k)] + [f"c{i}" for i in range(k)]
 
-    rows = pd.DataFrame(
-        {f"m{i}": [c[i] for c in sorted(state.S)] for i in range(k)}, dtype="int64"
-    )
+    rows = pd.DataFrame(sorted(state.S), columns=[f"m{i}" for i in range(k)], dtype="int64")
     n_part = max(1, min(spark.sparkContext.defaultParallelism, len(rows)))
     cliques_df = spark.createDataFrame(rows).repartition(n_part)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = {u: set(nb) for u, nb in bc_adj.value.items()}
-        non_free = bc_nonfree.value
-        out_owner, out_cand = [], []
+        st = DynamicState(k=k, adj=bc_adj.value, node2c=bc_node2c.value)
+        out = []
         for batch in batches:
-            for row in batch.itertuples(index=False):
-                c = tuple(int(getattr(row, f"m{i}")) for i in range(k))
-                cset = set(c)
-                B = set(c)
-                for v in c:
-                    B.update(w for w in adj.get(v, ()) if w not in non_free)
-                for cand in kernels.cliques_in_subset(adj, B, k):
-                    if cand == c:
-                        continue
-                    used = sum(1 for v in cand if v in cset)
-                    if used and used < k:
-                        out_owner.append(",".join(map(str, c)))
-                        out_cand.append(",".join(map(str, cand)))
-        yield pd.DataFrame({"owner": out_owner, "cand": out_cand})
+            for c in map(tuple, batch.to_numpy(np.int64).tolist()):
+                out += [c + x for x in _candidates(st, c)]
+        yield pd.DataFrame(out, columns=cols, dtype="int64")
 
-    pdf = cliques_df.mapInPandas(run, schema="owner string, cand string").toPandas()
+    schema = ", ".join(f"{c} long" for c in cols)
+    pairs = cliques_df.mapInPandas(run, schema=schema).toPandas().to_numpy(np.int64).tolist()
     for c in state.S:
         state.cand[c] = set()
-    for owner, cand in zip(pdf["owner"], pdf["cand"]):
-        state.cand[canon(owner.split(","))].add(canon(cand.split(",")))
+    for row in pairs:
+        state.cand[tuple(row[:k])].add(tuple(row[k:]))
     return int(sum(len(v) for v in state.cand.values()))
 
 

@@ -38,20 +38,11 @@ def insert_edge(state: DynamicState, u: int, v: int) -> int:
         return 0
     before = len(state.S)
     state.add_edge(u, v)
-    u_free, v_free = state.is_free(u), state.is_free(v)
-    if not u_free and not v_free:
-        # Both nodes already covered: no candidate can use this edge
-        # (a candidate's non-free nodes share one owner, and even then
-        # it needs a free node — no new clique through (u,v) has one
-        # unless it has other free members, which requires u or v free?
-        # No: a candidate may contain (u,v) non-free plus free others —
-        # but only if u and v share the same owner clique.)
-        if state.node2c[u] == state.node2c[v]:
-            owner = state.node2c[u]
-            gained = refresh_candidates(state, {u, v})
-            if gained:
-                try_swap(state, deque(gained))
-        return len(state.S) - before
+    if not state.is_free(u) and not state.is_free(v):
+        # A candidate's non-free nodes all come from one clique of S, and
+        # u and v are in different cliques (members of one are adjacent
+        # already), so no new clique through (u, v) is a candidate.
+        return 0
 
     new_cands: dict[Clique, list[Clique]] = {}
     for cand in _cliques_through_edge(state, u, v):
@@ -101,10 +92,11 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
         if gained:
             try_swap(state, deque(gained))
     else:
-        # The edge may have supported candidate cliques of u's or v's
-        # neighbourhood owners: drop any candidate containing both ends.
-        for owner_set in state.cand.values():
-            dead = [c for c in owner_set if u in c and v in c]
-            for c in dead:
-                owner_set.discard(c)
+        # Only candidates through (u, v) die. Their nodes lie in
+        # {u, v} ∪ (N(u) ∩ N(v)), so only the owners of those nodes can
+        # hold one.
+        around = {u, v} | (state.adj.get(u, set()) & state.adj.get(v, set()))
+        for owner in {state.node2c[x] for x in around if not state.is_free(x)}:
+            cands = state.cand[owner]
+            cands.difference_update([c for c in cands if u in c and v in c])
     return len(state.S) - before

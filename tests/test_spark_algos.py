@@ -1,7 +1,9 @@
 """Spark-path algorithm tests: HG/GC/LP/OPT end-to-end, equivalence
 with the numpy reference paths, distributed selection rounds, budget
 OOM/OOT behaviour, clique graph."""
+import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import clique_graph, clique_listing, validate
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
@@ -52,6 +54,18 @@ def test_gc_distributed_rounds_equal_driver(spark, ftb, k):
     dist = gc(spark, df, k, driver_threshold=0)
     assert sorted(dist.S) == sorted(seq.S)
     assert dist.rounds > 0
+
+
+def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
+    """Node ids of eleven digits: the bowtie (two triangles sharing one
+    node, equal clique scores) breaks the tie on the member tuple, and GC
+    in rounds and OPT must break it as GC on the driver does."""
+    bowtie = np.array([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], dtype=np.int64)
+    e = bowtie + 9_999_999_998
+    df = datasets.edges_to_df(spark, e)
+    want = gc_numpy(e, 3).S
+    assert gc(spark, df, 3, driver_threshold=0).S == want
+    assert opt(spark, df, 3).S == want
 
 
 def test_lp_without_prune_same_result(spark, ftb):
@@ -119,16 +133,14 @@ def test_clique_graph_fig2(spark):
     e = paper_fig2_edges()
     cl = clique_listing.list_kcliques(spark, Prepared(e, 3))
     cg = clique_graph.clique_graph_edges(cl, 3)
-    from repro.core.scores import clique_id_col
-
-    with_id = cl.withColumn("cid", clique_id_col(3))
-    degs = clique_graph.clique_degrees(cg, with_id).toPandas()
+    with_id = cl.withColumn("cid", F.struct(*clique_listing.member_cols(3)))
+    degs = {tuple(r.cid): r.cdeg for r in clique_graph.clique_degrees(cg, with_id).collect()}
     assert len(degs) == 7
-    c1 = ",".join(f"{v:010d}" for v in (1, 3, 6))
-    assert int(degs.set_index("cid").loc[c1, "cdeg"]) == 2
+    c1 = (1, 3, 6)
+    assert degs[c1] == 2
     # Paper: edge <C1, C2> exists because they share v3.
-    pairs = {(r.cid1, r.cid2) for r in cg.toPandas().itertuples(index=False)}
-    c2 = ",".join(f"{v:010d}" for v in (3, 5, 6))
+    pairs = {(tuple(r.cid1), tuple(r.cid2)) for r in cg.collect()}
+    c2 = (3, 5, 6)
     assert (min(c1, c2), max(c1, c2)) in pairs
 
 
