@@ -56,6 +56,15 @@ def test_gc_distributed_rounds_equal_driver(spark, ftb, k):
     assert dist.rounds > 0
 
 
+def test_gc_rounds_then_driver_tail_equal_driver(spark, ftb):
+    """One distributed round, then the driver greedy on what remains."""
+    e, df = ftb
+    want = gc_numpy(e, 3)
+    got = gc(spark, df, 3, driver_threshold=want.n_cliques - 1)
+    assert sorted(got.S) == sorted(want.S)
+    assert got.rounds == 1
+
+
 def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     """Node ids of eleven digits: the bowtie (two triangles sharing one
     node, equal clique scores) breaks the tie on the member tuple, and GC
