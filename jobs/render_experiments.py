@@ -236,8 +236,7 @@ def main() -> None:
         })
     out.append("\n## Table VIII — quality of S after update workloads (Δ vs from-scratch), plus Fig. 7 latencies\n\n"
         "Workloads scale the paper's 10K updates to W = min(10K, m/10) per\n"
-        "dataset (FBP capped at W=2000, k<=5 — its k=6 deletion workload\n"
-        "exceeded the session wall budget; all other cells are measured).\n")
+        "dataset (FBP capped at W=2000, k=3..6; every cell is measured).\n")
     out.append(_md(pd.DataFrame(rows)))
     out.append(
         "\nShape check: Δ stays within a handful of cliques of the "

@@ -1,13 +1,13 @@
-"""Distributed k-clique listing and counting (DataFrame API).
+"""Distributed k-clique listing, and Table I's clique count.
 
-The substrate GC, OPT and Table I's counting share. Two implementations:
+- :func:`list_kcliques` — GC's listing: broadcast the degree-oriented
+  adjacency of a driver :class:`~repro.core.prepare.Prepared` and fan
+  the per-source kClist recursion out over a partitioned source-node
+  DataFrame with ``mapInPandas`` (Arrow).
 
-- :func:`list_kcliques` / :func:`node_clique_counts` — the production
-  path: broadcast the degree-oriented adjacency of a driver
-  :class:`~repro.core.prepare.Prepared` and fan the per-source kClist
-  recursion out over a partitioned source-node DataFrame with
-  ``mapInPandas`` (Arrow). Counting never materializes cliques, which
-  is what makes Algorithm 3 "lightweight".
+- :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
+  node scores (``Prepared.scores``): counting never materializes
+  cliques, which is what makes Algorithm 3 "lightweight".
 
 - :func:`list_kcliques_joins` — a pure Catalyst reference: iterated
   self-joins on the id-oriented edge table. Quadratically many joins
@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import kernels
-from repro.core.budgets import Budget, translate_spark_error
+from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
 
@@ -72,41 +72,6 @@ def list_kcliques(
     return sources.mapInPandas(enum_batches, schema=", ".join(f"{c} long" for c in cols))
 
 
-def node_clique_counts(
-    spark: SparkSession, prep: Prepared, budget: Budget | None = None
-) -> DataFrame:
-    """Node scores (Def. 5): ``(node, score)`` where score is the
-    number of k-cliques containing the node; nodes in no k-clique get
-    score 0. Cliques are never stored: each task folds its sources'
-    enumerations into a local counter (Algorithm 3 line 2)."""
-    k = prep.k
-    bc = spark.sparkContext.broadcast(prep.degree_adj)
-    deadline = budget.epoch_deadline if budget is not None else None
-
-    def count_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = bc.value
-        counts: dict[int, int] = {}
-        for batch in batches:
-            for src in batch["source"].to_numpy(np.int64):
-                kernels.count_from_source(adj, int(src), k, counts, deadline=deadline)
-        yield pd.DataFrame(
-            {
-                "node": pd.Series(list(counts.keys()), dtype="int64"),
-                "partial": pd.Series(list(counts.values()), dtype="int64"),
-            }
-        )
-
-    sources = _sources_df(spark, prep.degree_adj, k)
-    partials = sources.mapInPandas(count_batches, schema="node long, partial long")
-    sums = partials.groupBy("node").agg(F.sum("partial").alias("score"))
-    nodes = spark.createDataFrame(
-        pd.DataFrame({"node": pd.Series(list(prep.degree_rank), dtype="int64")})
-    )
-    return nodes.join(sums, "node", "left").select(
-        "node", F.coalesce(F.col("score"), F.lit(0)).alias("score")
-    )
-
-
 def count_kcliques(
     spark: SparkSession,
     edges_df: DataFrame,
@@ -115,20 +80,12 @@ def count_kcliques(
 ) -> int:
     """Total number of k-cliques: sum of node scores divided by k
     (every clique contributes once per member)."""
-    try:
-        prep = Prepared(datasets.df_to_edges(edges_df), k)
-        total = (
-            node_clique_counts(spark, prep, budget)
-            .agg(F.sum("score").alias("s"))
-            .collect()[0]["s"]
-        )
-    except Exception as exc:  # translate budget failures from executors
-        raise translate_spark_error(exc) from exc
-    total = int(total or 0)
+    total = sum(Prepared(datasets.df_to_edges(edges_df), k).scores.values())
     assert total % k == 0, "sum of node scores must be divisible by k"
     n = total // k
     if budget is not None:
         budget.check_count(n)
+        budget.check_time()
     return n
 
 

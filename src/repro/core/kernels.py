@@ -118,7 +118,6 @@ def count_from_source(
     source: int,
     k: int,
     counts: dict[int, int],
-    deadline: float | None = None,
 ) -> None:
     """Accumulate per-node k-clique membership counts (node scores,
     Def. 5) for all cliques rooted at ``source`` — without storing any
@@ -136,7 +135,7 @@ def count_from_source(
         return
     ids, masks = loc
     local = [0] * len(ids)
-    total = _count_rec(masks, (1 << len(ids)) - 1, k - 1, local, deadline)
+    total = _count_rec(masks, (1 << len(ids)) - 1, k - 1, local)
     if total:
         counts[source] = counts.get(source, 0) + total
         for u, c in zip(ids, local):
@@ -144,10 +143,9 @@ def count_from_source(
                 counts[u] = counts.get(u, 0) + c
 
 
-def _count_rec(masks, cand, need, local, deadline):
+def _count_rec(masks, cand, need, local):
     """Number of ``need``-cliques inside ``cand``; adds each node's
     share to ``local``."""
-    _check_deadline(deadline, "counting")
     rest = cand
     total = 0
     if need <= 2:
@@ -167,7 +165,7 @@ def _count_rec(masks, cand, need, local, deadline):
         i = low.bit_length() - 1
         nxt = rest & masks[i]
         if nxt.bit_count() >= need - 1:
-            n = _count_rec(masks, nxt, need - 1, local, deadline)
+            n = _count_rec(masks, nxt, need - 1, local)
             local[i] += n
             total += n
     return total

@@ -44,6 +44,14 @@ class Prepared:
             kernels.count_from_source(self.degree_adj, u, self.k, counts)
         return counts
 
+    def cliques(self) -> list[tuple[int, ...]]:
+        """Every k-clique as its sorted member tuple, listed once on the
+        degree orientation (GC and OPT on the driver)."""
+        out: list[tuple[int, ...]] = []
+        for u in self.degree_adj:
+            kernels.enumerate_from_source(self.degree_adj, u, self.k, out=out)
+        return out
+
     @cached_property
     def rank(self) -> dict[int, int]:
         return adj_mod.rank_from_scores(self.scores, self.degree_rank)

@@ -1,11 +1,11 @@
 """Spark-path algorithm tests: HG/GC/LP/OPT end-to-end, equivalence
-with the numpy reference paths, distributed selection rounds, budget
-OOM/OOT behaviour, clique graph."""
+with the numpy reference paths, budget OOM/OOT behaviour, clique
+graph."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core import clique_graph, clique_listing, validate
+from repro.core import clique_listing, validate
+from repro.core.clique_graph import clique_graph
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
 from repro.core.gc import gc, gc_numpy
 from repro.core.hg import hg, hg_numpy
@@ -47,28 +47,27 @@ def test_lp_spark_equals_numpy(spark, ftb, k):
     assert got.visited == want.visited
 
 
+# ``gc`` selects on the driver and ignores ``driver_threshold``; these
+# keep the thresholds that once chose distributed selection rounds, and
+# check that Spark GC equals GC on the driver.
 @pytest.mark.parametrize("k", [3, 4])
 def test_gc_distributed_rounds_equal_driver(spark, ftb, k):
     e, df = ftb
-    seq = gc(spark, df, k)
-    dist = gc(spark, df, k, driver_threshold=0)
-    assert sorted(dist.S) == sorted(seq.S)
-    assert dist.rounds > 0
+    got = gc(spark, df, k, driver_threshold=0)
+    assert sorted(got.S) == sorted(gc_numpy(e, k).S)
 
 
 def test_gc_rounds_then_driver_tail_equal_driver(spark, ftb):
-    """One distributed round, then the driver greedy on what remains."""
     e, df = ftb
     want = gc_numpy(e, 3)
     got = gc(spark, df, 3, driver_threshold=want.n_cliques - 1)
     assert sorted(got.S) == sorted(want.S)
-    assert got.rounds == 1
 
 
 def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     """Node ids of eleven digits: the bowtie (two triangles sharing one
-    node, equal clique scores) breaks the tie on the member tuple, and GC
-    in rounds and OPT must break it as GC on the driver does."""
+    node, equal clique scores) breaks the tie on the member tuple, and
+    Spark GC and OPT must break it as GC on the driver does."""
     bowtie = np.array([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], dtype=np.int64)
     e = bowtie + 9_999_999_998
     df = datasets.edges_to_df(spark, e)
@@ -94,7 +93,8 @@ def test_lp_budget_oot(spark, ftb):
         lp(spark, df, 3, budget=Budget(max_seconds=-1.0))
 
 
-@pytest.mark.parametrize("algo", [gc, opt], ids=["gc", "opt"])
+@pytest.mark.parametrize("algo", [gc, opt, clique_listing.count_kcliques],
+                         ids=["gc", "opt", "count_kcliques"])
 def test_budget_oot_after_driver_count(spark, ftb, algo):
     """The count runs on the driver without a deadline; the time budget
     still fires before any clique is listed."""
@@ -136,21 +136,16 @@ def test_opt_not_smaller_than_heuristics(spark):
     assert res.size >= hg_numpy(e, 3).size
 
 
-def test_clique_graph_fig2(spark):
+def test_clique_graph_fig2():
     """Fig. 3: the clique graph of the running example has 7 nodes;
     C1 has degree 2."""
-    e = paper_fig2_edges()
-    cl = clique_listing.list_kcliques(spark, Prepared(e, 3))
-    cg = clique_graph.clique_graph_edges(cl, 3)
-    with_id = cl.withColumn("cid", F.struct(*clique_listing.member_cols(3)))
-    degs = {tuple(r.cid): r.cdeg for r in clique_graph.clique_degrees(cg, with_id).collect()}
-    assert len(degs) == 7
+    cg = clique_graph(sorted(Prepared(paper_fig2_edges(), 3).cliques()))
+    assert len(cg) == 7
     c1 = (1, 3, 6)
-    assert degs[c1] == 2
+    assert len(cg[c1]) == 2
     # Paper: edge <C1, C2> exists because they share v3.
-    pairs = {(tuple(r.cid1), tuple(r.cid2)) for r in cg.collect()}
     c2 = (3, 5, 6)
-    assert (min(c1, c2), max(c1, c2)) in pairs
+    assert c2 in cg[c1] and c1 in cg[c2]
 
 
 def test_clique_scores_spark_match_driver(spark, ftb):

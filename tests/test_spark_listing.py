@@ -1,5 +1,7 @@
 """Spark listing/counting substrate vs brute force and the DuckDB
 oracle — an independent engine checks the distributed pipeline."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -44,19 +46,12 @@ def test_count_kcliques(spark, ftb, k):
     )
 
 
-def test_node_scores_match_kernel_counts(spark, ftb):
+def test_node_scores_match_kernel_counts(ftb):
+    """Node scores (Def. 5) == brute-force clique membership counts;
+    nodes in no clique are absent from both."""
     e, _ = ftb
-    got = clique_listing.node_clique_counts(spark, Prepared(e, 3)).toPandas()
-    got_map = dict(zip(got["node"].astype(int), got["score"].astype(int)))
-    from repro.core import kernels
-
-    rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, rank)
-    want: dict[int, int] = {}
-    for u in adj:
-        kernels.count_from_source(adj, u, 3, want)
-    for node in {int(v) for v in e.reshape(-1)}:
-        assert got_map[node] == want.get(node, 0)
+    cliques = validate.brute_force_all_kcliques(e, 3)
+    assert Prepared(e, 3).scores == dict(Counter(v for c in cliques for v in c))
 
 
 def test_triangle_count_against_duckdb_oracle(spark, ftb):
@@ -80,7 +75,10 @@ def test_triangle_count_against_duckdb_oracle(spark, ftb):
 def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
     """Node scores for k=3 == DuckDB per-node triangle membership."""
     e, _ = ftb
-    scores = clique_listing.node_clique_counts(spark, Prepared(e, 3))
+    got = Prepared(e, 3).scores
+    nodes = np.unique(e)
+    scores = spark.createDataFrame(pd.DataFrame(
+        {"node": nodes, "score": [got.get(int(v), 0) for v in nodes]}, dtype="int64"))
     assert_equivalent(
         scores,
         """

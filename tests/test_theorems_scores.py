@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels, validate
+from repro.core.clique_graph import clique_graph
+from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import generators as gen
 
@@ -43,6 +45,20 @@ def test_theorem2_bounds(seed, k):
     for c in cliques:
         s_c = sum(scores[v] for v in c)
         assert (s_c - k) / (k - 1) <= degs[c] <= s_c - k
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["pp", "plc"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_clique_graph_equals_definition(seed, kind, k):
+    """Def. 2: the driver clique graph joins exactly the k-cliques that
+    share a node, and keeps its vertices in the order given."""
+    e = random_graph(seed, 30, kind)
+    cliques = sorted(validate.brute_force_all_kcliques(e, k))
+    want = {c: {d for d in cliques if d != c and set(c) & set(d)} for c in cliques}
+    got = clique_graph(sorted(Prepared(e, k).cliques()))
+    assert got == want
+    assert list(got) == cliques
 
 
 @settings(max_examples=25, deadline=None)
