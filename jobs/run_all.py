@@ -17,8 +17,10 @@ os.makedirs(RESULTS, exist_ok=True)
 
 def main() -> None:
     phases = sys.argv[1:] or ["t1", "t2", "t4", "t5", "t7", "t8"]
-    spark = get_spark("run_all")
-    spark.sparkContext.setLogLevel("ERROR")
+    spark = None  # Tables VII and VIII run on the driver only
+    if set(phases) - {"t7", "t8"}:
+        spark = get_spark("run_all")
+        spark.sparkContext.setLogLevel("ERROR")
     from repro.tables import synthetic, table1, table2, table3, table4, table7, table8
 
     t0 = time.time()
@@ -48,14 +50,15 @@ def main() -> None:
         df.to_csv(f"{RESULTS}/table5_6.csv", index=False)
         print(f"[t5 done {time.time()-t0:.0f}s]", flush=True)
     if "t7" in phases:
-        df = table7.run(spark, names=["FTB", "HST", "FB", "FBP"])
+        df = table7.run(names=["FTB", "HST", "FB", "FBP"])
         df.to_csv(f"{RESULTS}/table7.csv", index=False)
         print(f"[t7 done {time.time()-t0:.0f}s]", flush=True)
     if "t8" in phases:
         df = table8.run(names=["FTB", "HST", "FBP"], workload=None)
         df.to_csv(f"{RESULTS}/table8.csv", index=False)
         print(f"[t8 done {time.time()-t0:.0f}s]", flush=True)
-    spark.stop()
+    if spark is not None:
+        spark.stop()
     print(f"ALL DONE in {time.time()-t0:.0f}s")
 
 

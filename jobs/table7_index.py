@@ -1,22 +1,19 @@
-"""Reproduce Table VII (indexing time and index size).
+"""Reproduce Table VII (indexing time and index size). Driver-only (the
+candidate index is built on the driver; see DESIGN.md §2) — no
+SparkSession needed.
 
 Usage: python jobs/table7_index.py [dataset ...]
 """
 import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_spark  # noqa: E402
-
-from repro.tables import table7  # noqa: E402
+from repro.tables import table7
 
 
 def main() -> None:
-    spark = get_spark("table7")
     names = sys.argv[1:] or None
-    df = table7.run(spark, names=names)
+    df = table7.run(names=names)
     print("\n=== Table VII (reproduced) ===")
     print(df.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

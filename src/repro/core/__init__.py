@@ -10,7 +10,7 @@ Modules:
 - ``clique_listing`` — Spark k-clique listing (GC) and Table I's count.
 - ``scores``       — node scores (Def. 5) and clique scores (Def. 6).
 - ``clique_graph`` — condensed clique graph (Def. 2), built on the driver.
-- ``mis``          — exact and greedy maximum independent set (for OPT).
+- ``mis``          — exact maximum independent set (for OPT).
 - ``opt``          — OPT pipeline on the driver: clique graph + exact MIS.
 - ``hg``           — Algorithm 1, the basic framework.
 - ``gc``           — Algorithm 2, greedy by ascending clique score.

@@ -8,11 +8,6 @@
 - :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
   node scores (``Prepared.scores``): counting never materializes
   cliques, which is what makes Algorithm 3 "lightweight".
-
-- :func:`list_kcliques_joins` — a pure Catalyst reference: iterated
-  self-joins on the id-oriented edge table. Quadratically many joins
-  in k, only used to cross-check the kernel path (and the DuckDB
-  oracle) on small graphs.
 """
 from __future__ import annotations
 
@@ -21,7 +16,6 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import kernels
 from repro.core.budgets import Budget
@@ -88,24 +82,3 @@ def count_kcliques(
         budget.check_time()
     return n
 
-
-def list_kcliques_joins(edges_df: DataFrame, k: int) -> DataFrame:
-    """Catalyst-only reference listing via iterated self-joins on the
-    id-oriented edge table (u < v). Output columns ``m0..m{k-1}`` in
-    ascending id. O(k^2) joins — small graphs only."""
-    e = edges_df.select(F.col("src").alias("a"), F.col("dst").alias("b"))
-    cliques = e.select(F.col("a").alias("m0"), F.col("b").alias("m1"))
-    for i in range(2, k):
-        last = f"m{i-1}"
-        ext = cliques.join(
-            e.select(F.col("a").alias(last), F.col("b").alias(f"m{i}")), last
-        )
-        # The new node must be adjacent to every earlier member too.
-        for j in range(i - 1):
-            ext = ext.join(
-                e.select(F.col("a").alias(f"m{j}"), F.col("b").alias(f"m{i}")),
-                [f"m{j}", f"m{i}"],
-                "left_semi",
-            )
-        cliques = ext.select(*[f"m{j}" for j in range(i + 1)])
-    return cliques

@@ -6,7 +6,7 @@ built from. They are plain Python/numpy so the *same* code runs
 - inside Spark ``mapInPandas`` tasks (oriented adjacency arrives via a
   broadcast), for the bulk parallel phases, and
 - on the driver, for the sequential greedy tails (Algorithm 1's main
-  loop, Algorithm 3's ``Calculation``) and the dynamic updates.
+  loop, Algorithm 3's ``Calculation``).
 
 Representation: ``adj[u]`` is a sorted ``int64`` array of the
 out-neighbours of ``u`` in the DAG orientation (``eta(u) > eta(v)``),
@@ -25,6 +25,10 @@ bitmask too, and one recursion step is ``cand & mask[i]`` with
 high, i.e. in ascending node id, so listing order, FindOne's first
 clique and FindMin's ``visited`` counter are those of a recursion over
 sorted id arrays.
+
+The dynamic layer (Algorithms 5-7) lists with the same recursion, in
+``cliques_in_subset``: over adjacency sets, on the common neighbours of
+the required nodes inside an allowed set, oriented by id.
 """
 from __future__ import annotations
 
@@ -279,61 +283,45 @@ def _min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):
     return visited
 
 
-# ---- undirected-neighbourhood kernels (dynamic maintenance) -------------
+# ---- undirected-neighbourhood kernel (dynamic maintenance) -------------
 
 def cliques_in_subset(
     adj_sets: dict[int, set[int]],
     allowed: set[int],
     k: int,
     containing: tuple[int, ...] = (),
-    limit: int | None = None,
+    first: bool = False,
 ) -> list[tuple[int, ...]]:
-    """All k-cliques whose nodes lie inside ``allowed``, optionally
-    required to contain the nodes in ``containing``. Brute enumeration
-    over the induced subgraph in ascending-id order — the neighbourhood
-    sizes the dynamic algorithms touch are tiny (|B| <= k + k*d).
+    """All k-cliques made of the nodes of ``containing`` and nodes of
+    ``allowed``, in ascending member-tuple order; with ``first``, only
+    the first of them (a list of at most one).
+
+    The recursion of the oriented kernels, on the common neighbours of
+    ``containing`` inside ``allowed``: relabelled in ascending id, each
+    with a mask of its higher-id neighbours, so each clique is reached
+    once.
     """
-    need = k - len(containing)
-    base = set(containing)
-    if need < 0:
-        return []
-    if need == 0:
-        return [tuple(sorted(containing))] if _is_clique(adj_sets, base) else []
-    if not _is_clique(adj_sets, base):
-        return []
-    cand: set[int] | None = None
-    for c in containing:
-        nb = adj_sets.get(c, set()) & allowed
-        cand = nb if cand is None else cand & nb
-    if cand is None:
-        cand = set(allowed)
-    cand -= base
-    out: list[tuple[int, ...]] = []
-    _subset_rec(adj_sets, sorted(cand), 0, need, sorted(base), out, limit)
-    return out
-
-
-def _subset_rec(adj_sets, cand, start, need, prefix, out, limit):
-    if need == 0:
-        out.append(tuple(sorted(prefix)))
-        return limit is None or len(out) < limit
-    for i in range(start, len(cand)):
-        v = cand[i]
-        nb = adj_sets.get(v, set())
-        if all(p in nb for p in prefix):
-            prefix.append(v)
-            ok = _subset_rec(adj_sets, cand, i + 1, need - 1, prefix, out, limit)
-            prefix.pop()
-            if not ok:
-                return False
-    return True
-
-
-def _is_clique(adj_sets: dict[int, set[int]], members) -> bool:
-    ms = list(members)
-    for i, u in enumerate(ms):
+    cand = set(allowed)
+    for i, u in enumerate(containing):
         nb = adj_sets.get(u, set())
-        for v in ms[i + 1:]:
-            if v not in nb:
-                return False
-    return True
+        if not nb.issuperset(containing[i + 1:]):
+            return []
+        cand &= nb
+    need = k - len(containing)
+    if need <= 0 or len(cand) < need:
+        return [tuple(sorted(containing))] if need == 0 else []
+    ids = sorted(cand)
+    pos = {v: i for i, v in enumerate(ids)}
+    masks = [0] * len(ids)
+    for i, v in enumerate(ids):
+        for w in cand & adj_sets.get(v, set()):
+            j = pos[w]
+            if j > i:
+                masks[i] |= 1 << j
+    full, prefix = (1 << len(ids)) - 1, tuple(containing)
+    if first:
+        got = _first_rec(ids, masks, full, need, prefix)
+        return [tuple(sorted(got))] if got else []
+    out: list[tuple[int, ...]] = []
+    _enum_rec(ids, masks, full, need, prefix, out, None)
+    return out

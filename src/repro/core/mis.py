@@ -6,9 +6,6 @@ branch-and-bound with degree-0/1 reductions and an upper-bound prune —
 exact, and sufficient for the small clique graphs where OPT finishes
 at all (the paper's OPT is OOT/OOM beyond tiny inputs, which our time
 budget reproduces).
-
-Also provides the min-degree greedy MIS heuristic the paper discusses
-in Section IV-B as the idealized (but unaffordable) selection rule.
 """
 from __future__ import annotations
 
@@ -80,16 +77,3 @@ def _drop(live: dict[int, set[int]], u: int) -> None:
         live[w].discard(u)
     del live[u]
 
-
-def greedy_min_degree_mis(adj: dict[int, set[int]]) -> set[int]:
-    """Min-degree greedy MIS: repeatedly take a minimum-degree node and
-    remove its closed neighbourhood (ties by node id)."""
-    live = {u: set(nb) for u, nb in adj.items()}
-    out: set[int] = set()
-    while live:
-        v = min(live, key=lambda u: (len(live[u]), u))
-        out.add(v)
-        for w in list(live[v]):
-            _drop(live, w)
-        del live[v]
-    return out

@@ -1,13 +1,15 @@
 """Dynamic maintenance of the disjoint k-clique set (Section V).
 
 - ``state``   — the mutable graph + solution + candidate-index state.
-- ``index``   — candidate k-clique index (Algorithm 5), Spark-parallel
-                build plus the driver-side incremental refresh.
+- ``index``   — candidate k-clique index (Algorithm 5): the driver
+                build and the incremental refresh share one candidate
+                rule, listed by the bitset kernel
+                ``kernels.cliques_in_subset``.
 - ``swap``    — TrySwap (Algorithm 4).
 - ``updates`` — per-edge insertion/deletion (Algorithms 6-7).
 
-Per-edge updates are driver-side in-memory operations (the paper
-reports microseconds per update; launching a distributed job per edge
-is impossible at that latency — see DESIGN.md §2); the index *build*
-is a Spark job, matching the paper's "for each clique in parallel".
+Everything here runs on the driver. The paper reports microseconds per
+update, and launching a distributed job per edge is impossible at that
+latency (see DESIGN.md §2); the index build runs there too, because on
+the bitset kernel it finishes faster than a Spark job starts.
 """

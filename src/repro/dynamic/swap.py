@@ -50,7 +50,7 @@ def _valid_candidate(state: DynamicState, owner: Clique, cand: Clique) -> bool:
     )
 
 
-def try_swap(state: DynamicState, queue: deque[Clique], max_rounds: int | None = None) -> int:
+def try_swap(state: DynamicState, queue: deque[Clique]) -> int:
     """Run Algorithm 4. Returns the net growth of |S|.
 
     Each iteration pops ``C``, finds a maximal disjoint subset of its
@@ -61,11 +61,7 @@ def try_swap(state: DynamicState, queue: deque[Clique], max_rounds: int | None =
     sets are refreshed; owners with new candidates are re-queued.
     """
     grown = 0
-    rounds = 0
     while queue:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        rounds += 1
         c = queue.popleft()
         if c not in state.S:
             continue

@@ -17,11 +17,9 @@ from repro.dynamic.swap import refresh_candidates, try_swap
 
 
 def _cliques_through_edge(state: DynamicState, u: int, v: int) -> list[Clique]:
-    """All k-cliques of the current graph containing edge (u, v):
-    they live inside {u, v} ∪ (N(u) ∩ N(v))."""
-    common = state.adj.get(u, set()) & state.adj.get(v, set())
-    allowed = {u, v} | common
-    return kernels.cliques_in_subset(state.adj, allowed, state.k, containing=(u, v))
+    """All k-cliques of the current graph containing edge (u, v): u, v
+    and common neighbours of both."""
+    return kernels.cliques_in_subset(state.adj, state.adj[u], state.k, containing=(u, v))
 
 
 def insert_edge(state: DynamicState, u: int, v: int) -> int:

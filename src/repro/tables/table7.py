@@ -1,8 +1,8 @@
 """Table VII: indexing time and index size (number of candidate cliques).
 
-Pipeline per (dataset, k): LP computes S, then the Spark-parallel
-Algorithm 5 builds the candidate index; we report the build wall time
-and the index size, as the paper does.
+Pipeline per (dataset, k): LP computes S, then Algorithm 5 builds the
+candidate index on the driver; we report the build wall time and the
+index size, as the paper does.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.lp import lp_driver
 from repro.core.prepare import Prepared
@@ -28,11 +27,7 @@ def build_state(e: np.ndarray, k: int) -> st_mod.DynamicState:
     return st_mod.from_edges(e, k, S, scores)
 
 
-def run(
-    spark: SparkSession,
-    names: list[str] | None = None,
-    ks: tuple[int, ...] = (3, 4, 5, 6),
-) -> pd.DataFrame:
+def run(names: list[str] | None = None, ks: tuple[int, ...] = (3, 4, 5, 6)) -> pd.DataFrame:
     names = names or list(datasets.DATASETS)
     rows = []
     for name in names:
@@ -41,8 +36,9 @@ def run(
         for k in ks:
             state = build_state(e, k)
             t0 = time.monotonic()
-            size = idx_mod.build_index_spark(spark, state)
+            idx_mod.build_index(state)
             secs = time.monotonic() - t0
+            size = idx_mod.index_size(state)
             row[f"time_k{k}(ms)"] = round(secs * 1e3, 1)
             row[f"size_k{k}"] = size
         rows.append(row)

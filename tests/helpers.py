@@ -1,7 +1,10 @@
-"""Shared test utilities: small random graphs with known properties."""
+"""Shared test utilities: small random graphs with known properties, and
+the reference oracles the kernels and the Spark listing are checked against."""
 from __future__ import annotations
 
 import numpy as np
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.graphs import generators as gen
 
@@ -177,3 +180,27 @@ def ref_orient_by_rank(edges, rank):
         src, dst = (u, v) if rank[u] > rank[v] else (v, u)
         out.setdefault(src, []).append(dst)
     return {u: np.asarray(sorted(nb), dtype=np.int64) for u, nb in out.items()}
+
+
+# ---- Catalyst listing oracle: an independent engine for the kernel path.
+
+def list_kcliques_joins(edges_df: DataFrame, k: int) -> DataFrame:
+    """Catalyst-only reference listing via iterated self-joins on the
+    id-oriented edge table (u < v). Output columns ``m0..m{k-1}`` in
+    ascending id. O(k^2) joins — small graphs only."""
+    e = edges_df.select(F.col("src").alias("a"), F.col("dst").alias("b"))
+    cliques = e.select(F.col("a").alias("m0"), F.col("b").alias("m1"))
+    for i in range(2, k):
+        last = f"m{i-1}"
+        ext = cliques.join(
+            e.select(F.col("a").alias(last), F.col("b").alias(f"m{i}")), last
+        )
+        # The new node must be adjacent to every earlier member too.
+        for j in range(i - 1):
+            ext = ext.join(
+                e.select(F.col("a").alias(f"m{j}"), F.col("b").alias(f"m{i}")),
+                [f"m{j}", f"m{i}"],
+                "left_semi",
+            )
+        cliques = ext.select(*[f"m{j}" for j in range(i + 1)])
+    return cliques

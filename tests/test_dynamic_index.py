@@ -1,9 +1,9 @@
 """Candidate-clique index tests (Algorithm 5): definition-level
-cross-check, the paper's Fig. 5 example, and driver == Spark build."""
+cross-check, the paper's Fig. 5 example and free-node settling."""
 import numpy as np
 import pytest
 
-from repro.core import kernels, validate
+from repro.core import validate
 from repro.core.lp import lp_numpy
 from repro.dynamic import index as idx_mod
 from repro.dynamic import state as st_mod
@@ -24,7 +24,7 @@ def _brute_candidates(state):
     nodes share one owner clique."""
     allnodes = set(state.adj)
     out: dict = {c: set() for c in state.S}
-    for cand in kernels.cliques_in_subset(state.adj, allnodes, state.k):
+    for cand in validate.cliques_in_subset(state.adj, allnodes, state.k):
         non_free = [v for v in cand if not state.is_free(v)]
         if not non_free or len(non_free) == state.k:
             continue
@@ -69,13 +69,15 @@ def test_fig5_candidates_after_inserting_5_7():
 @pytest.mark.parametrize("name", ["FTB"])
 @pytest.mark.parametrize("k", [3, 4])
 def test_spark_index_equals_driver_index(spark, name, k):
+    """``build_index_spark``, kept for the benchmark, builds the driver
+    index and returns its size."""
     e = datasets.edges(name)
-    st1 = _state(e, k)
-    idx_mod.build_index(st1)
-    st2 = _state(e, k)
-    size = idx_mod.build_index_spark(spark, st2)
-    assert {c: st2.cand[c] for c in st2.S} == {c: st1.cand[c] for c in st1.S}
-    assert size == idx_mod.index_size(st1)
+    st = _state(e, k)
+    size = idx_mod.build_index_spark(spark, st)
+    assert size == idx_mod.index_size(st)
+    ref = _state(e, k)
+    idx_mod.build_index(ref)
+    assert st.cand == ref.cand
 
 
 def test_candidates_require_free_and_nonfree_nodes():

@@ -161,8 +161,34 @@ def test_cliques_in_subset_matches_enumeration(seed):
     sets_ = adj_mod.adj_sets(e)
     allnodes = {int(v) for v in e.reshape(-1)}
     for k in (3, 4):
-        got = set(kernels.cliques_in_subset(sets_, allnodes, k))
-        assert got == validate.brute_force_all_kcliques(e, k)
+        got = kernels.cliques_in_subset(sets_, allnodes, k)
+        assert got == validate.cliques_in_subset(sets_, allnodes, k)
+        assert set(got) == set(_all_listed(_oriented(e), k))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["pp", "plc"])
+def test_cliques_in_subset_matches_reference(seed, kind):
+    """The bitset listing equals the set-recursion reference, order
+    included, on random ``allowed`` sets and 0-2 ``containing`` nodes
+    (adjacent or not, inside ``allowed`` or not); ``first`` returns its
+    head."""
+    e = random_graph(seed, 30, kind)
+    sets_ = adj_mod.adj_sets(e)
+    nodes = sorted(sets_)
+    rng = np.random.default_rng(seed)
+    for k in range(2, 7):
+        for _ in range(12):
+            allowed = {v for v in nodes if rng.random() < rng.uniform(0.3, 1.0)}
+            n_fix = int(rng.integers(0, 3))
+            if n_fix == 2 and rng.random() < 0.5:
+                u = int(rng.choice(nodes))  # an edge, so the pair is a clique
+                containing = (u, int(rng.choice(sorted(sets_[u]))))
+            else:
+                containing = tuple(int(v) for v in rng.choice(nodes, n_fix, replace=False))
+            want = validate.cliques_in_subset(sets_, allowed, k, containing)
+            assert kernels.cliques_in_subset(sets_, allowed, k, containing) == want
+            assert kernels.cliques_in_subset(sets_, allowed, k, containing, first=True) == want[:1]
 
 
 def test_cliques_in_subset_containing_constraint():
@@ -183,10 +209,11 @@ def test_cliques_in_subset_respects_allowed_set():
 
 
 def test_cliques_in_subset_limit():
+    """``first`` stops at the lexicographically first clique, C1."""
     e = paper_fig2_edges()
     sets_ = adj_mod.adj_sets(e)
-    got = kernels.cliques_in_subset(sets_, set(range(1, 10)), 3, limit=2)
-    assert len(got) == 2
+    assert kernels.cliques_in_subset(sets_, set(range(1, 10)), 3, first=True) == [(1, 3, 6)]
+    assert kernels.cliques_in_subset(sets_, {2, 4, 5}, 3, first=True) == []
 
 
 def test_cliques_in_subset_containing_non_clique_prefix():

@@ -1,10 +1,10 @@
-"""Exact/greedy MIS tests (the OPT substrate)."""
+"""Exact MIS tests (the OPT substrate)."""
 import itertools
 
 import pytest
 
 from repro.core.budgets import Budget, SimulatedOOT
-from repro.core.mis import exact_mis, greedy_min_degree_mis
+from repro.core.mis import exact_mis
 
 from tests.helpers import random_graph
 from repro.graphs import adjacency as adj_mod
@@ -67,22 +67,3 @@ def test_exact_mis_budget_timeout():
     adj = {u: set(nb) for u, nb in adj_mod.adj_sets(e).items()}
     with pytest.raises(SimulatedOOT):
         exact_mis(adj, budget=Budget(max_seconds=-1.0))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_greedy_mis_independent_and_maximal(seed):
-    e = random_graph(seed, 30, "er")
-    adj = {u: set(nb) for u, nb in adj_mod.adj_sets(e).items()}
-    got = greedy_min_degree_mis(adj)
-    assert _is_independent(adj, got)
-    # Maximal: every non-chosen node has a chosen neighbour.
-    for u in adj:
-        if u not in got:
-            assert adj[u] & got
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_greedy_mis_not_larger_than_exact(seed):
-    e = random_graph(seed, 16, "er")
-    adj = {u: set(nb) for u, nb in adj_mod.adj_sets(e).items()}
-    assert len(greedy_min_degree_mis(adj)) <= len(exact_mis(adj))

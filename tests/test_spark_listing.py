@@ -13,7 +13,7 @@ from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 from repro.oracle import assert_equivalent
 
-from tests.helpers import paper_fig2_edges, random_graph
+from tests.helpers import list_kcliques_joins, paper_fig2_edges, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def test_list_kcliques_matches_brute(spark, ftb, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_join_based_listing_matches_brute(spark, ftb, k):
     e, df = ftb
-    got = clique_listing.list_kcliques_joins(df, k).toPandas()
+    got = list_kcliques_joins(df, k).toPandas()
     got_set = {tuple(map(int, r)) for r in got.to_numpy()}
     assert got_set == validate.brute_force_all_kcliques(e, k)
 

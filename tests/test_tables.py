@@ -60,8 +60,8 @@ def test_synthetic_tables(spark):
     assert "t_GC(s)" in t5.columns and "GC_delta" in t6.columns
 
 
-def test_table7_index(spark):
-    df = table7.run(spark, names=["FTB"], ks=(3,))
+def test_table7_index():
+    df = table7.run(names=["FTB"], ks=(3,))
     row = df.iloc[0]
     assert row["size_k3"] >= 0 and row["time_k3(ms)"] > 0
 

@@ -125,6 +125,6 @@ def test_maximality_oracle_agrees_with_bruteforce_hypothesis(seed):
     S = lp_numpy(e, k).S
     free = validate.free_nodes(e, S)
     adj = adj_mod.adj_sets(e)
-    residual = kernels.cliques_in_subset(adj, free, k)
+    residual = validate.cliques_in_subset(adj, free, k)
     assert validate.is_maximal(e, k, S) == (len(residual) == 0)
     assert validate.is_maximal(e, k, S)
