@@ -8,8 +8,10 @@ k-cliques on B except C — complete, because every candidate of C must
 lie inside B.
 
 The index is built on the driver: with the bitset kernel, a whole
-Table VII build takes less than a Spark job launch. ``candidates_for``
-is also the kernel the update algorithms reuse incrementally.
+Table VII build takes less than a Spark job launch. After an update,
+``swap.refresh_candidates`` patches the index by the nodes whose
+free status changed and calls ``candidates_for`` only for cliques just
+placed in S.
 """
 from __future__ import annotations
 
@@ -53,13 +55,15 @@ def settle_free(state: DynamicState, seeds) -> list[Clique]:
     """Restore maximality around the given (just freed) nodes: while a
     k-clique exists among free nodes touching a seed, add it to S.
     Returns the cliques added. Candidate bookkeeping is left to the
-    caller (owners adjacent to flipped nodes must be refreshed)."""
+    caller, which passes the seeds and the added cliques' nodes to
+    ``swap.refresh_candidates``."""
+    node2c = state.node2c
     added: list[Clique] = []
     # Last seed first: S depends on this order.
     for u in reversed([int(s) for s in seeds]):
-        if not state.is_free(u):
+        if u in node2c:
             continue
-        free_around = {w for w in state.adj.get(u, ()) if state.is_free(w)}
+        free_around = {w for w in state.adj.get(u, ()) if w not in node2c}
         got = kernels.cliques_in_subset(state.adj, free_around, state.k, containing=(u,),
                                         first=True)
         if got:

@@ -38,11 +38,10 @@ class DynamicState:
 
     def free_neighbors(self, members) -> set[int]:
         """N_F(C): free nodes adjacent to any node of the clique."""
+        adj, node2c = self.adj, self.node2c
         out: set[int] = set()
         for v in members:
-            for w in self.adj.get(v, ()):  # pragma: no branch
-                if self.is_free(w):
-                    out.add(w)
+            out.update(w for w in adj.get(v, ()) if w not in node2c)
         return out
 
     def clique_score(self, members) -> int:

@@ -2,37 +2,67 @@
 
 A swap removes a clique ``C`` from S and adds >= 2 disjoint candidate
 cliques from ``C(C)`` in its place, growing |S|. After any change to
-the free/non-free status of nodes, the candidate sets of every clique
-whose free neighbourhood touched those nodes are refreshed; owners
-that *gained* candidates re-enter the FIFO queue (Algorithm 4 line 8).
+the free/non-free status of nodes, only the candidates through those
+nodes change, and the index is patched by that delta; owners that
+*gained* candidates re-enter the FIFO queue (Algorithm 4 line 8).
 """
 from __future__ import annotations
 
 from collections import deque
 
+from repro.core import kernels
 from repro.core.gc import greedy_by_score
+from repro.core.validate import is_clique
 from repro.dynamic import index as index_mod
 from repro.dynamic.state import Clique, DynamicState
 
 
 def refresh_candidates(state: DynamicState, touched_nodes) -> set[Clique]:
-    """Recompute candidate sets of every owner whose neighbourhood
-    touches ``touched_nodes``; return owners that gained candidates."""
+    """Patch the candidate sets of every owner whose neighbourhood
+    touches ``touched_nodes``, which must hold every node just freed,
+    covered or moved to another clique; return the owners that gained
+    candidates, in the order the owners are visited.
+
+    An owner of a covered touched node (for every caller, a clique just
+    placed in S) is listed from scratch. Any other owner keeps its
+    candidates that miss the covered nodes and gains the cliques through
+    a freed node whose non-free nodes are all its own; such an owner is
+    adjacent to that freed node, so it is visited.
+    """
+    node2c, adj = state.node2c, state.adj
     owners: set[Clique] = set()
+    covered: set[int] = set()
+    freed: list[int] = []
     for x in touched_nodes:
-        if not state.is_free(x):
-            owners.add(state.node2c[x])
-        for w in state.adj.get(x, ()):  # cliques seeing x in their N_F
-            if not state.is_free(w):
-                owners.add(state.node2c[w])
+        if x in node2c:
+            owners.add(node2c[x])
+            covered.add(x)
+        else:
+            freed.append(x)
+        for w in adj.get(x, ()):  # cliques seeing x in their N_F
+            if w in node2c:
+                owners.add(node2c[w])
+    placed = {node2c[x] for x in covered}
+    adds: dict[Clique, set[Clique]] = {}
+    for f in freed:
+        for cand in kernels.cliques_in_subset(adj, adj.get(f, set()), state.k,
+                                              containing=(f,)):
+            held = {node2c[v] for v in cand if v in node2c}
+            if len(held) == 1:  # a just-placed owner is relisted below
+                adds.setdefault(held.pop(), set()).add(cand)
     gained: set[Clique] = set()
     for c in owners:
-        if c not in state.S:
+        if c in placed:
+            new = index_mod.candidates_for(state, c)
+            if new - state.cand.get(c, set()):
+                gained.add(c)
+            state.cand[c] = new
             continue
-        old = state.cand.get(c, set())
-        new = index_mod.candidates_for(state, c)
-        state.cand[c] = new
-        if new - old:
+        cands = state.cand.setdefault(c, set())
+        cands.difference_update([x for x in cands if not covered.isdisjoint(x)])
+        fresh = adds.get(c, set()) - cands
+        if fresh:
+            cands |= fresh
             gained.add(c)
     return gained
 
@@ -40,8 +70,6 @@ def refresh_candidates(state: DynamicState, touched_nodes) -> set[Clique]:
 def _valid_candidate(state: DynamicState, owner: Clique, cand: Clique) -> bool:
     """Defensive re-check at use time: still a clique, free nodes still
     free, non-free nodes still exactly from ``owner``."""
-    from repro.core.validate import is_clique
-
     if not is_clique(state.adj, cand):
         return False
     non_free = [v for v in cand if not state.is_free(v)]

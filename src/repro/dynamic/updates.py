@@ -66,8 +66,10 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
 
     If (u, v) was inside a clique ``C`` of S, C is destroyed: free its
     nodes, settle them (former candidates that are now all-free get
-    picked up), refresh the neighbourhood and TrySwap (paper lines
-    1-4). Otherwise only candidate cliques die (lines 5-6).
+    picked up), patch the index by the nodes that flipped (cliques
+    through a node still free become candidates of their owner) and
+    TrySwap (paper lines 1-4). Otherwise only candidate cliques die
+    (lines 5-6).
     """
     u, v = int(u), int(v)
     if not state.has_edge(u, v):
@@ -78,10 +80,9 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
     cv = state.node2c.get(v)
     if cu is not None and cu == cv:
         state.remove_from_S(cu)
-        # Drop candidates of other owners that used destroyed coverage?
         # Other owners' candidates cannot contain nodes of cu (they were
-        # non-free), so only cu's own candidate set dies — already
-        # removed with the clique. Re-cover the freed nodes:
+        # non-free), so only cu's own candidate set dies, and it left
+        # with the clique. Re-cover the freed nodes:
         added = index_mod.settle_free(state, cu)
         touched = set(cu)
         for x in added:

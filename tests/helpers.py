@@ -6,6 +6,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.dynamic import index as index_mod
 from repro.graphs import generators as gen
 
 
@@ -204,3 +205,30 @@ def list_kcliques_joins(edges_df: DataFrame, k: int) -> DataFrame:
             )
         cliques = ext.select(*[f"m{j}" for j in range(i + 1)])
     return cliques
+
+
+# ---- candidate-index refresh oracle: the full recompute that the delta
+# refresh in ``repro.dynamic.swap`` replaced. The lockstep test runs it on
+# a copy of the state before every refresh and requires the same index and
+# the same ``gained`` set, iteration order included.
+
+def ref_refresh_candidates(state, touched_nodes):
+    """Recompute candidate sets of every owner whose neighbourhood
+    touches ``touched_nodes``; return owners that gained candidates."""
+    owners = set()
+    for x in touched_nodes:
+        if not state.is_free(x):
+            owners.add(state.node2c[x])
+        for w in state.adj.get(x, ()):  # cliques seeing x in their N_F
+            if not state.is_free(w):
+                owners.add(state.node2c[w])
+    gained = set()
+    for c in owners:
+        if c not in state.S:
+            continue
+        old = state.cand.get(c, set())
+        new = index_mod.candidates_for(state, c)
+        state.cand[c] = new
+        if new - old:
+            gained.add(c)
+    return gained

@@ -1,6 +1,7 @@
 """Dynamic update tests (Algorithms 4, 6, 7): the paper's Fig. 5
 swap scenario, targeted insertion/deletion cases, and randomized
 update streams with full invariant checking."""
+import copy
 import random
 from collections import deque
 
@@ -11,10 +12,11 @@ from repro.core import validate
 from repro.core.lp import lp_numpy
 from repro.dynamic import index as idx_mod
 from repro.dynamic import state as st_mod
+from repro.dynamic import swap
 from repro.dynamic import updates as upd
 from repro.dynamic.swap import try_swap
 
-from tests.helpers import paper_fig5_g1_edges, random_graph
+from tests.helpers import paper_fig5_g1_edges, random_graph, ref_refresh_candidates
 
 
 def _indexed_state(e, k, S=None):
@@ -195,3 +197,59 @@ def test_insert_rebuilds_from_empty():
     # G1's maximum is 2 (triangles (1,2,3)/(3,4,5) share v3; (9,10,11)).
     assert len(st.S) == 2
     _check_invariants(st)
+
+
+# --- the delta refresh in lockstep with the full recompute --------------
+
+@pytest.fixture
+def lockstep_refresh(monkeypatch):
+    """Run ``ref_refresh_candidates`` before every refresh, on a copy of
+    the state whose candidate sets are its own, and require the same
+    index and the same ``gained``, iteration order included (TrySwap
+    queues owners in that order, and S depends on it). The copy shares
+    the graph: the oracle writes only ``cand``, and the owners' order
+    follows the adjacency sets' iteration order. Returns the sizes of
+    the ``gained`` sets checked."""
+    real = swap.refresh_candidates
+    gained_sizes: list[int] = []
+
+    def checked(state, touched_nodes):
+        ref = copy.copy(state)
+        ref.cand = {c: set(cs) for c, cs in state.cand.items()}
+        want = ref_refresh_candidates(ref, touched_nodes)
+        got = real(state, touched_nodes)
+        assert state.cand == ref.cand
+        assert list(got) == list(want)
+        gained_sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(swap, "refresh_candidates", checked)
+    monkeypatch.setattr(upd, "refresh_candidates", checked)
+    return gained_sizes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_refresh_matches_full_recompute(lockstep_refresh, seed, k):
+    e = random_graph(seed, 48)
+    st = _indexed_state(e, k)
+    rng = random.Random(seed)
+    nodes = sorted(st.adj)
+    for _ in range(200):
+        u, v = rng.sample(nodes, 2)
+        if st.has_edge(u, v):
+            upd.delete_edge(st, u, v)
+        else:
+            upd.insert_edge(st, u, v)
+    _check_invariants(st)
+    assert lockstep_refresh, "the stream never refreshed the index"
+
+
+def test_refresh_matches_full_recompute_fig5(lockstep_refresh):
+    e = paper_fig5_g1_edges()
+    st = _indexed_state(e, 3, S=[(3, 4, 5), (9, 10, 11)])
+    assert upd.insert_edge(st, 5, 7) == 1
+    assert upd.delete_edge(st, 5, 7) == -1
+    assert st.S == {(1, 2, 3), (9, 10, 11)}
+    _check_invariants(st)
+    assert lockstep_refresh
