@@ -3,11 +3,12 @@
 Modules:
 
 - ``kernels``      — pure-Python/numpy enumeration & search kernels,
-                     shared by Spark ``mapInPandas`` tasks and the driver.
+                     shared by Spark tasks and the driver.
 - ``prepare``      — rank/orient/score preparation and driver clique listing,
                      shared by both backends.
 - ``budgets``      — OOM/OOT simulation (paper's 504 GB / 24 h limits).
-- ``clique_listing`` — Spark k-clique listing (GC) and Table I's count.
+- ``clique_listing`` — the Spark fan-out, k-clique listing (GC) and
+                     Table I's count.
 - ``scores``       — node scores (Def. 5) and clique scores (Def. 6).
 - ``clique_graph`` — condensed clique graph (Def. 2), built on the driver.
 - ``mis``          — exact maximum independent set (for OPT).

@@ -21,8 +21,8 @@ class SimulatedOOT(RuntimeError):
     """Raised when a run exceeds its wall-clock budget."""
 
 # Marker strings used to recover budget failures from Py4J-wrapped
-# executor exceptions (a Python exception inside mapInPandas surfaces
-# as a generic Spark task failure on the driver).
+# executor exceptions (a Python exception inside a Spark task surfaces
+# on the driver as a generic job failure that quotes its traceback).
 OOM_MARKER = "REPRO_SIMULATED_OOM"
 OOT_MARKER = "REPRO_SIMULATED_OOT"
 

@@ -1,9 +1,12 @@
 """Distributed k-clique listing, and Table I's clique count.
 
+- :func:`fan_out` — the Spark layer of the per-source phases (LP's
+  HeapInit, GC's listing): one job with one task per core, each running
+  a kernel loop over its slice of the source nodes against broadcasts.
+
 - :func:`list_kcliques` — GC's listing: broadcast the degree-oriented
   adjacency of a driver :class:`~repro.core.prepare.Prepared` and fan
-  the per-source kClist recursion out over a partitioned source-node
-  DataFrame with ``mapInPandas`` (Arrow).
+  the per-source kClist recursion out with :func:`fan_out`.
 
 - :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
   node scores (``Prepared.scores``): counting never materializes
@@ -11,10 +14,10 @@
 """
 from __future__ import annotations
 
-from typing import Iterator
+import random
+from typing import Callable, TypeVar
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import kernels
@@ -22,48 +25,51 @@ from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
 
-
-def member_cols(k: int) -> list[str]:
-    """Canonical member column names for a clique DataFrame."""
-    return [f"m{i}" for i in range(k)]
+T = TypeVar("T")
 
 
-def _sources_df(spark: SparkSession, adj: dict[int, np.ndarray], k: int) -> DataFrame:
-    """Nodes that can root a k-clique (out-degree >= k-1), spread over
-    partitions so mapInPandas tasks balance."""
+def fan_out(
+    spark: SparkSession,
+    adj: dict[int, np.ndarray],
+    k: int,
+    run_slice: Callable[[list[int]], T],
+) -> list[T]:
+    """``run_slice`` over the nodes that can root a k-clique (out-degree
+    >= k-1), as one Spark job with one task per core: the sources are
+    shuffled with a fixed seed, so hubs spread over the slices, and dealt
+    into ``defaultParallelism`` slices; one result per slice comes back
+    (empty slices included). Each slice is one element of its own
+    partition: ``parallelize`` cuts a flat list into partitions by
+    serialization batches of up to 1024 elements, not evenly."""
     srcs = [int(u) for u, nb in adj.items() if len(nb) >= k - 1]
-    pdf = pd.DataFrame({"source": pd.Series(srcs, dtype="int64")})
-    n_part = max(1, min(spark.sparkContext.defaultParallelism * 2, max(1, len(srcs) // 4)))
-    # Shuffle sources so heavy hubs don't cluster in one partition.
-    pdf = pdf.sample(frac=1.0, random_state=0) if len(pdf) else pdf
-    return spark.createDataFrame(pdf).repartition(n_part)
+    random.Random(0).shuffle(srcs)
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+    return sc.parallelize([srcs[i::n] for i in range(n)], n).map(run_slice).collect()
 
 
 def list_kcliques(
     spark: SparkSession, prep: Prepared, budget: Budget | None = None
-) -> DataFrame:
-    """All k-cliques of the graph, one row each: member columns
-    ``m0 < m1 < ... < m{k-1}`` (node-id order — the canonical clique
-    identity) and ``score`` = s_c(C) (Def. 6) from ``prep.scores``. Each
-    clique is produced exactly once, rooted at its highest-ordering
-    member of the degree orientation."""
+) -> np.ndarray:
+    """All k-cliques of the graph as an int64 array, one row each:
+    members ``m0 < m1 < ... < m{k-1}`` (node-id order — the canonical
+    clique identity), then ``score`` = s_c(C) (Def. 6) from
+    ``prep.scores``. Each clique is listed exactly once, rooted at its
+    highest-ordering member of the degree orientation."""
     k = prep.k
     sc = spark.sparkContext
     bc_adj, bc_scores = sc.broadcast(prep.degree_adj), sc.broadcast(prep.scores)
     deadline = budget.epoch_deadline if budget is not None else None
-    cols = member_cols(k) + ["score"]
 
-    def enum_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run_slice(srcs: list[int]) -> np.ndarray:
         adj, scores = bc_adj.value, bc_scores.value
-        for batch in batches:
-            cliques: list[tuple[int, ...]] = []
-            for src in batch["source"].to_numpy(np.int64):
-                kernels.enumerate_from_source(adj, int(src), k, out=cliques, deadline=deadline)
-            rows = [c + (sum(map(scores.__getitem__, c)),) for c in cliques]
-            yield pd.DataFrame(rows, columns=cols, dtype="int64")
+        cliques: list[tuple[int, ...]] = []
+        for src in srcs:
+            kernels.enumerate_from_source(adj, src, k, out=cliques, deadline=deadline)
+        rows = [c + (sum(map(scores.__getitem__, c)),) for c in cliques]
+        return np.array(rows, dtype=np.int64).reshape(-1, k + 1)
 
-    sources = _sources_df(spark, prep.degree_adj, k)
-    return sources.mapInPandas(enum_batches, schema=", ".join(f"{c} long" for c in cols))
+    return np.concatenate(fan_out(spark, prep.degree_adj, k, run_slice))
 
 
 def count_kcliques(
@@ -81,4 +87,3 @@ def count_kcliques(
         budget.check_count(n)
         budget.check_time()
     return n
-

@@ -6,9 +6,9 @@ selects cliques in ascending ``(s_c(C), member tuple)`` order,
 skipping any clique that intersects an already chosen one.
 
 Algorithm 2 is one sequential scan, so selection runs on the driver on
-both backends; Spark ``gc`` fans out only the listing (one
-``mapInPandas`` task per batch of source nodes) and collects the
-``(score, members)`` rows. The harness budget stops GC at a clique
+both backends; Spark ``gc`` fans out only the listing (one task per
+core, :func:`~repro.core.clique_listing.fan_out`) and collects the
+``(members, score)`` rows. The harness budget stops GC at a clique
 count that fits on the driver (``tables.common.DEFAULT_MAX_CLIQUES``)
 before anything is listed.
 """
@@ -68,19 +68,13 @@ def gc(
         if budget is not None:
             budget.check_count(n_cliques)  # GC must store all of them
             budget.check_time()
-        scored_df = clique_listing.list_kcliques(spark, prep, budget=budget)
-        S = greedy_by_score(_collect_scored(scored_df, k))
+        rows = clique_listing.list_kcliques(spark, prep, budget=budget).tolist()
+        S = greedy_by_score([(r[-1], tuple(r[:-1])) for r in rows])
         return GCResult("OK", S, n_cliques=n_cliques)
     except (SimulatedOOM, SimulatedOOT):
         raise
     except Exception as exc:
         raise translate_spark_error(exc) from exc
-
-
-def _collect_scored(scored_df: DataFrame, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """``(score, members)`` of every clique row, on the driver."""
-    rows = scored_df.select("score", *clique_listing.member_cols(k)).toPandas()
-    return [(r[0], tuple(r[1:])) for r in rows.to_numpy(np.int64).tolist()]
 
 
 def gc_numpy(edges: np.ndarray, k: int) -> GCResult:

@@ -3,8 +3,8 @@
 These are the per-source recursions every algorithm in the paper is
 built from. They are plain Python/numpy so the *same* code runs
 
-- inside Spark ``mapInPandas`` tasks (oriented adjacency arrives via a
-  broadcast), for the bulk parallel phases, and
+- inside Spark tasks (oriented adjacency arrives via a broadcast), for
+  the bulk parallel phases, and
 - on the driver, for the sequential greedy tails (Algorithm 1's main
   loop, Algorithm 3's ``Calculation``).
 

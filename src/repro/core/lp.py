@@ -9,8 +9,9 @@ ever storing the full clique set:
    on both backends (the Spark entry point collects its edges first);
 2. ``HeapInit``: for every source node, ``FindMin`` — the minimum-score
    clique rooted there, with the score-driven pruning strategy (LP) or
-   without (L); fanned out with Spark ``mapInPandas`` by :func:`lp`,
-   a driver loop in :func:`lp_driver`;
+   without (L); one Spark task per core by :func:`lp`
+   (:func:`~repro.core.clique_listing.fan_out`), a driver loop in
+   :func:`lp_driver`;
 3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
@@ -23,10 +24,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_listing, kernels
@@ -35,10 +34,6 @@ from repro.core.prepare import Prepared
 # Unused; kept because perfbench.tracing.LAYERS looks this name up.
 from repro.core.scores import collect_scores  # noqa: F401
 from repro.graphs import datasets
-
-# Score of a HeapInit row whose source roots no clique: clique scores
-# are sums of node scores, so never negative.
-_NO_CLIQUE = -1
 
 
 @dataclass
@@ -83,46 +78,39 @@ def _heap_init_spark(
     prune: bool,
     budget: Budget | None,
 ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-    """Parallel ``HeapInit`` (Algorithm 3 lines 10-14): one FindMin per
-    source node, fanned out with mapInPandas. Returns the
-    ``(score, members, source)`` heap rows and the ``visited`` count
-    summed over every source, including those that root no clique."""
+    """Parallel ``HeapInit`` (Algorithm 3 lines 10-14): :func:`_heap_init`
+    over every slice of the sources, one Spark task per core."""
     sc = spark.sparkContext
-    bc_adj = sc.broadcast(adj)
-    bc_scores = sc.broadcast(scores)
+    bc_adj, bc_scores = sc.broadcast(adj), sc.broadcast(scores)
     deadline = budget.epoch_deadline if budget is not None else None
-    cols = clique_listing.member_cols(k)
-    schema = "source long, score long, visited long, " + ", ".join(
-        f"{c} long" for c in cols
+    slices = clique_listing.fan_out(
+        spark, adj, k,
+        lambda srcs: _heap_init(bc_adj.value, bc_scores.value, srcs, k, prune, deadline),
     )
+    return [r for rows, _ in slices for r in rows], sum(v for _, v in slices)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        a, s = bc_adj.value, bc_scores.value
-        rows = []
-        for batch in batches:
-            for src in batch["source"].to_numpy(np.int64):
-                kernels._check_deadline(deadline, "HeapInit")
-                st: dict = {}
-                got = kernels.find_min_clique(
-                    a, s, int(src), k, valid=None, prune=prune, stats=st
-                )
-                score, members = got if got is not None else (_NO_CLIQUE, (0,) * k)
-                rows.append((int(src), score, st.get("visited", 0)) + members)
-        columns = ["source", "score", "visited"] + cols
-        yield (
-            pd.DataFrame(rows, columns=columns, dtype="int64")
-            if rows
-            else pd.DataFrame({c: pd.Series(dtype="int64") for c in columns})
-        )
 
-    sources = clique_listing._sources_df(spark, adj, k)
-    pdf = sources.mapInPandas(run, schema=schema).toPandas()
-    visited = int(pdf["visited"].sum())
-    out = []
-    for r in pdf[pdf["score"] != _NO_CLIQUE].itertuples(index=False):
-        members = tuple(int(getattr(r, c)) for c in cols)
-        out.append((int(r.score), members, int(r.source)))
-    return out, visited
+def _heap_init(
+    adj: dict[int, np.ndarray],
+    scores: dict[int, int],
+    sources: list[int],
+    k: int,
+    prune: bool,
+    deadline: float | None = None,
+) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
+    """One FindMin per source: the ``(score, members, source)`` heap rows
+    and the ``visited`` count summed over every source, including those
+    that root no clique."""
+    rows = []
+    visited = 0
+    for u in sources:
+        kernels._check_deadline(deadline, "HeapInit")
+        st: dict = {}
+        got = kernels.find_min_clique(adj, scores, u, k, None, prune, st)
+        visited += st.get("visited", 0)
+        if got is not None:
+            rows.append((got[0], got[1], u))
+    return rows, visited
 
 
 def _calculation(
@@ -172,12 +160,5 @@ def lp_driver(prep: Prepared, prune: bool = True) -> LPResult:
     """Algorithm 3 on the driver over a prepared graph: HeapInit as a
     loop over the sources, then ``Calculation``."""
     adj, scores = prep.adj, prep.scores
-    heap_rows = []
-    visited = 0
-    for u in sorted(adj):
-        st: dict = {}
-        got = kernels.find_min_clique(adj, scores, u, prep.k, None, prune, st)
-        visited += st.get("visited", 0)
-        if got is not None:
-            heap_rows.append((got[0], got[1], u))
+    heap_rows, visited = _heap_init(adj, scores, sorted(adj), prep.k, prune)
     return _calculation(adj, scores, heap_rows, visited, prep.k, prune)

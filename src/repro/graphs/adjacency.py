@@ -8,7 +8,7 @@ its highest-``eta`` member. Both orderings (degree, then node score)
 and the orientation are computed on the driver from the numpy edge
 array; the result is a dict of sorted numpy out-neighbour arrays, which
 is what the enumeration kernels consume on the driver and, broadcast,
-in ``mapInPandas`` tasks. ``repro.core.prepare.Prepared`` runs the
+in Spark tasks. ``repro.core.prepare.Prepared`` runs the
 sequence once per (graph, k) for both backends.
 """
 from __future__ import annotations

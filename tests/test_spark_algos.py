@@ -1,6 +1,8 @@
 """Spark-path algorithm tests: HG/GC/LP/OPT end-to-end, equivalence
 with the numpy reference paths, budget OOM/OOT behaviour, clique
 graph."""
+import time
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,55 @@ def test_budget_oot_after_driver_count(spark, ftb, algo):
         algo(spark, df, 3, budget=Budget(max_seconds=-1.0))
 
 
+class _ExecutorDeadline(Budget):
+    """Passes every driver check; the deadline it hands to the Spark
+    tasks is already past."""
+
+    @property
+    def epoch_deadline(self) -> float:
+        return time.time() - 1.0
+
+
+@pytest.mark.parametrize("algo", [lp, gc], ids=["lp", "gc"])
+def test_budget_oot_inside_spark_tasks(spark, ftb, algo):
+    """A deadline that expires inside the fan-out's tasks fails them on
+    the executors; the failure must come back as ``SimulatedOOT``."""
+    _, df = ftb
+    with pytest.raises(SimulatedOOT, match="from executor"):
+        algo(spark, df, 3, budget=_ExecutorDeadline())
+
+
+@pytest.mark.parametrize(
+    "edges, k, n_sources",
+    [
+        # A 10-cycle: out-degree <= 2 < k - 1, so no source at all.
+        (np.array(sorted([(i, i + 1) for i in range(9)] + [(0, 9)]), dtype=np.int64), 4, 0),
+        # One 4-clique with a pendant path: a single source, fewer than
+        # cores, so the other slices are empty.
+        (np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+                  dtype=np.int64), 4, 1),
+    ],
+    ids=["no_sources", "fewer_sources_than_cores"],
+)
+def test_fan_out_edge_cases_equal_numpy(spark, edges, k, n_sources):
+    slices = clique_listing.fan_out(spark, Prepared(edges, k).degree_adj, k, len)
+    assert len(slices) == spark.sparkContext.defaultParallelism
+    assert sum(slices) == n_sources
+    df = datasets.edges_to_df(spark, edges)
+    got, want = lp(spark, df, k), lp_numpy(edges, k)
+    assert (got.S, got.visited, got.n_heap_init) == (want.S, want.visited, want.n_heap_init)
+    got, want = gc(spark, df, k), gc_numpy(edges, k)
+    assert (got.S, got.n_cliques) == (want.S, want.n_cliques)
+
+
+def test_fan_out_deals_sources_evenly(spark):
+    """Slice sizes differ by at most one, also past ``parallelize``'s
+    1024-element serialization batches."""
+    adj = dict.fromkeys(range(20_000), np.arange(2))
+    sizes = clique_listing.fan_out(spark, adj, 3, len)
+    assert sum(sizes) == 20_000 and max(sizes) - min(sizes) <= 1
+
+
 def test_opt_fig2_is_maximum(spark):
     e = paper_fig2_edges()
     df = datasets.edges_to_df(spark, e)
@@ -151,7 +202,7 @@ def test_clique_graph_fig2():
 def test_clique_scores_spark_match_driver(spark, ftb):
     e, _ = ftb
     k = 3
-    scored = clique_listing.list_kcliques(spark, Prepared(e, k)).toPandas()
+    scored = clique_listing.list_kcliques(spark, Prepared(e, k))
     from repro.core import kernels
     from repro.graphs import adjacency as adj_mod
 
@@ -160,6 +211,5 @@ def test_clique_scores_spark_match_driver(spark, ftb):
     counts: dict[int, int] = {}
     for u in adj:
         kernels.count_from_source(adj, u, k, counts)
-    for r in scored.itertuples(index=False):
-        members = (int(r.m0), int(r.m1), int(r.m2))
-        assert int(r.score) == sum(counts[v] for v in members)
+    for *members, score in scored.tolist():
+        assert score == sum(counts[v] for v in members)

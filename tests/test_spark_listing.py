@@ -7,7 +7,6 @@ import pandas as pd
 import pytest
 
 from repro.core import clique_listing, validate
-from repro.core.clique_listing import member_cols
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
@@ -25,8 +24,8 @@ def ftb(spark):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_list_kcliques_matches_brute(spark, ftb, k):
     e, _ = ftb
-    got = clique_listing.list_kcliques(spark, Prepared(e, k)).toPandas()[member_cols(k)]
-    got_set = {tuple(map(int, r)) for r in got.to_numpy()}
+    got = clique_listing.list_kcliques(spark, Prepared(e, k))[:, :k]
+    got_set = {tuple(map(int, r)) for r in got}
     assert got_set == validate.brute_force_all_kcliques(e, k)
 
 
@@ -58,7 +57,7 @@ def test_triangle_count_against_duckdb_oracle(spark, ftb):
     """Independent-engine check: our Spark triangle listing count ==
     DuckDB's SQL self-join triangle count over the same edge table."""
     e, _ = ftb
-    triangles = clique_listing.list_kcliques(spark, Prepared(e, 3))
+    triangles = spark.createDataFrame(clique_listing.list_kcliques(spark, Prepared(e, 3)).tolist())
     spark_count = triangles.groupBy().count().withColumnRenamed("count", "n_triangles")
     assert_equivalent(
         spark_count,
@@ -107,7 +106,8 @@ def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
 def test_four_clique_count_against_duckdb_oracle(spark):
     """k=4 counting cross-checked in SQL on a smaller graph."""
     e = random_graph(2, 30, "pp")
-    cnt = clique_listing.list_kcliques(spark, Prepared(e, 4)).groupBy().count().withColumnRenamed("count", "n4")
+    cliques = spark.createDataFrame(clique_listing.list_kcliques(spark, Prepared(e, 4)).tolist())
+    cnt = cliques.groupBy().count().withColumnRenamed("count", "n4")
     assert_equivalent(
         cnt,
         """
@@ -125,8 +125,7 @@ def test_four_clique_count_against_duckdb_oracle(spark):
 
 def test_member_columns_sorted_ascending(spark, ftb):
     e, _ = ftb
-    pdf = clique_listing.list_kcliques(spark, Prepared(e, 4)).toPandas()
-    arr = pdf[member_cols(4)].to_numpy()
+    arr = clique_listing.list_kcliques(spark, Prepared(e, 4))[:, :4]
     assert (np.diff(arr, axis=1) > 0).all()
 
 
@@ -142,8 +141,7 @@ def test_oriented_edges_form_dag(ftb):
 
 def test_fig2_spark_listing(spark):
     e = paper_fig2_edges()
-    got = clique_listing.list_kcliques(spark, Prepared(e, 3)).toPandas()
-    assert len(got) == 7
+    assert len(clique_listing.list_kcliques(spark, Prepared(e, 3))) == 7
 
 
 def test_df_to_edges_canonical(spark, ftb):
