@@ -1,79 +1,106 @@
-"""Maximum independent set solvers for the OPT baseline.
+"""Maximum independent set solver for the OPT baseline.
 
 OPT in the paper computes the exact MIS on the clique graph (they use
 the Akiba-Iwata branch-and-reduce solver). We implement a compact
-branch-and-bound with degree-0/1 reductions and an upper-bound prune —
-exact, and sufficient for the small clique graphs where OPT finishes
-at all (the paper's OPT is OOT/OOM beyond tiny inputs, which our time
-budget reproduces).
+branch-and-bound with degree-0/1 reductions — exact, and sufficient for
+the small clique graphs where OPT finishes at all (the paper's OPT is
+OOT/OOM beyond tiny inputs, which our time budget reproduces).
+
+Bitsets: vertex ``i`` is the i-th key in insertion order and ``nbr[i]``
+is its neighbour mask, a Python int. A search node is just the mask of
+``live`` vertices, the mask of ``chosen`` ones and their count, so
+branching copies nothing; degrees are ``(nbr[i] & live).bit_count()``.
+
+Bounds: a node is pruned when ``|chosen| + |live|`` cannot beat the
+incumbent, or when a greedy clique cover of ``live`` (San Segundo et
+al., C&OR 2011, on the complement) has no more cliques than the
+incumbent's lead over ``|chosen|`` — an independent set holds at most
+one vertex of each clique.
+
+Neither bound can change the returned set. The incumbent is replaced
+only by a strictly larger leaf, so the search returns the first
+maximum leaf in DFS order: no leaf before it is as large, so every
+ancestor of it has an upper bound above the incumbent of its time and
+is not pruned, and no later leaf is strictly larger. That holds for any
+valid upper bound, so the tree walked and the set returned depend only
+on the reductions, the branch rule and the branch order.
 """
 from __future__ import annotations
+
+from collections.abc import Hashable, Mapping, Set
 
 from repro.core.budgets import Budget
 
 
-def exact_mis(adj: dict[int, set[int]], budget: Budget | None = None) -> set[int]:
+def exact_mis(
+    adj: Mapping[Hashable, Set[Hashable]], budget: Budget | None = None
+) -> set:
     """Exact maximum independent set of the graph given as an
     adjacency dict (isolated nodes must appear with empty sets).
 
-    Branch-and-bound: reduce degree-0/1 nodes (always safe to take),
-    otherwise branch on a max-degree node v — either exclude v, or
-    take v and drop N(v). Prunes when |current| + |remaining| cannot
-    beat the incumbent. Raises ``SimulatedOOT`` via the budget on
-    overrun.
+    Branch-and-bound: sweep degree-0/1 nodes in insertion order until
+    none is left (always safe to take), then branch on the live node
+    with the largest (degree, key) — first take it and drop its
+    neighbours, then exclude it. Raises ``SimulatedOOT`` via the budget
+    on overrun.
     """
-    live = {u: set(nb) for u, nb in adj.items()}
-    best: list[set[int]] = [set()]
-    _mis_rec(live, set(), best, budget)
-    return best[0]
+    keys = list(adj)
+    index = {u: i for i, u in enumerate(keys)}
+    nbr = [sum(1 << index[w] for w in adj[u]) for u in keys]
+    best_count, best_mask = 0, 0
+    # Pending nodes (live, chosen, count); the take child is pushed last
+    # so it is walked first.
+    stack = [((1 << len(keys)) - 1, 0, 0)]
+    while stack:
+        live, chosen, count = stack.pop()
+        if budget is not None:
+            budget.check_time()
+        # Sweep until a whole pass changes nothing; that pass saw every
+        # live degree as it stands, so it also found the branch vertex.
+        while True:
+            rest = swept = live
+            deg = v = -1
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not live & bit:
+                    continue
+                i = bit.bit_length() - 1
+                nb = nbr[i] & live
+                if nb & (nb - 1) == 0:  # degree 0 or 1
+                    chosen |= bit
+                    count += 1
+                    live &= ~(bit | nb)
+                    continue
+                d = nb.bit_count()
+                if d > deg or d == deg and keys[i] > keys[v]:
+                    deg, v = d, i
+            if live == swept:
+                break
+        if not live:
+            if count > best_count:
+                best_count, best_mask = count, chosen
+            continue
+        room = best_count - count
+        if live.bit_count() <= room or _clique_cover_within(live, nbr, room):
+            continue
+        bit = 1 << v
+        stack.append((live & ~bit, chosen, count))
+        stack.append((live & ~(bit | nbr[v]), chosen | bit, count + 1))
+    return {u for i, u in enumerate(keys) if best_mask >> i & 1}
 
 
-def _mis_rec(live: dict[int, set[int]], chosen: set[int], best, budget) -> None:
-    if budget is not None:
-        budget.check_time()
-    # Reductions: repeatedly take degree-0 and degree-1 nodes.
-    changed = True
-    live = {u: set(nb) for u, nb in live.items()}
-    chosen = set(chosen)
-    while changed:
-        changed = False
-        for u in list(live):
-            if u not in live:
-                continue
-            deg = len(live[u])
-            if deg == 0:
-                chosen.add(u)
-                del live[u]
-                changed = True
-            elif deg == 1:
-                chosen.add(u)
-                v = next(iter(live[u]))
-                _drop(live, v)
-                del live[u]
-                changed = True
-    if not live:
-        if len(chosen) > len(best[0]):
-            best[0] = chosen
-        return
-    if len(chosen) + len(live) <= len(best[0]):
-        return  # cannot beat incumbent
-    v = max(live, key=lambda u: (len(live[u]), u))
-    # Branch 1: take v, drop N(v).
-    l1 = {u: set(nb) for u, nb in live.items()}
-    for w in list(l1[v]):
-        _drop(l1, w)
-    del l1[v]
-    _mis_rec(l1, chosen | {v}, best, budget)
-    # Branch 2: exclude v.
-    l2 = {u: set(nb) for u, nb in live.items()}
-    _drop(l2, v)
-    _mis_rec(l2, chosen, best, budget)
-
-
-def _drop(live: dict[int, set[int]], u: int) -> None:
-    if u not in live:
-        return
-    for w in live[u]:
-        live[w].discard(u)
-    del live[u]
-
+def _clique_cover_within(live: int, nbr: list[int], limit: int) -> bool:
+    """Whether a greedy cover of ``live`` by cliques (each grown from
+    the lowest uncovered vertex) needs at most ``limit`` cliques."""
+    cliques = 0
+    while live:
+        cliques += 1
+        if cliques > limit:
+            return False
+        cand = live
+        while cand:
+            low = cand & -cand
+            live ^= low
+            cand &= nbr[low.bit_length() - 1]
+    return True

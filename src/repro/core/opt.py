@@ -54,8 +54,9 @@ def opt(
         # (Table III).
         budget.check_count(sum(s * (s - 1) // 2 for s in prep.scores.values()))
         budget.check_time()
-    # exact_mis reduces in dict order and breaks ties by (degree, vertex),
-    # so S depends on the insertion order: insert the sorted tuples.
+    # exact_mis numbers the vertices and sweeps its reductions in insertion
+    # order, and breaks branch ties by (degree, vertex), so S depends on the
+    # insertion order: insert the sorted tuples.
     adj = clique_graph(sorted(prep.cliques()))
     n_edges = sum(map(len, adj.values())) // 2
     if budget is not None:

@@ -232,3 +232,65 @@ def ref_refresh_candidates(state, touched_nodes):
         if new - old:
             gained.add(c)
     return gained
+
+
+# ---- exact MIS oracle: the dict-of-sets branch and bound that the bitset
+# solver in ``repro.core.mis`` replaced. It copies the adjacency at every
+# search node and prunes on |chosen| + |live| only; the property tests
+# require the bitset solver to return the identical set.
+
+def ref_exact_mis(adj, budget=None):
+    live = {u: set(nb) for u, nb in adj.items()}
+    best = [set()]
+    _ref_mis_rec(live, set(), best, budget)
+    return best[0]
+
+
+def _ref_mis_rec(live, chosen, best, budget):
+    if budget is not None:
+        budget.check_time()
+    # Reductions: repeatedly take degree-0 and degree-1 nodes.
+    changed = True
+    live = {u: set(nb) for u, nb in live.items()}
+    chosen = set(chosen)
+    while changed:
+        changed = False
+        for u in list(live):
+            if u not in live:
+                continue
+            deg = len(live[u])
+            if deg == 0:
+                chosen.add(u)
+                del live[u]
+                changed = True
+            elif deg == 1:
+                chosen.add(u)
+                v = next(iter(live[u]))
+                _ref_drop(live, v)
+                del live[u]
+                changed = True
+    if not live:
+        if len(chosen) > len(best[0]):
+            best[0] = chosen
+        return
+    if len(chosen) + len(live) <= len(best[0]):
+        return  # cannot beat incumbent
+    v = max(live, key=lambda u: (len(live[u]), u))
+    # Branch 1: take v, drop N(v).
+    l1 = {u: set(nb) for u, nb in live.items()}
+    for w in list(l1[v]):
+        _ref_drop(l1, w)
+    del l1[v]
+    _ref_mis_rec(l1, chosen | {v}, best, budget)
+    # Branch 2: exclude v.
+    l2 = {u: set(nb) for u, nb in live.items()}
+    _ref_drop(l2, v)
+    _ref_mis_rec(l2, chosen, best, budget)
+
+
+def _ref_drop(live, u):
+    if u not in live:
+        return
+    for w in live[u]:
+        live[w].discard(u)
+    del live[u]
