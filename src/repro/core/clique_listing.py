@@ -24,24 +24,25 @@ from repro.core import kernels
 from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
+from repro.graphs.adjacency import Oriented
 
 T = TypeVar("T")
 
 
 def fan_out(
     spark: SparkSession,
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     k: int,
     run_slice: Callable[[list[int]], T],
 ) -> list[T]:
-    """``run_slice`` over the nodes that can root a k-clique (out-degree
-    >= k-1), as one Spark job with one task per core: the sources are
-    shuffled with a fixed seed, so hubs spread over the slices, and dealt
-    into ``defaultParallelism`` slices; one result per slice comes back
-    (empty slices included). Each slice is one element of its own
+    """``run_slice`` over the dense positions of the nodes that can root
+    a k-clique (out-degree >= k-1), as one Spark job with one task per
+    core: the sources are shuffled with a fixed seed, so hubs spread over
+    the slices, and dealt into ``defaultParallelism`` slices; one result
+    per slice comes back (empty slices included). Each slice is one element of its own
     partition: ``parallelize`` cuts a flat list into partitions by
     serialization batches of up to 1024 elements, not evenly."""
-    srcs = [int(u) for u, nb in adj.items() if len(nb) >= k - 1]
+    srcs = adj.sources(k).tolist()
     random.Random(0).shuffle(srcs)
     sc = spark.sparkContext
     n = sc.defaultParallelism

@@ -18,6 +18,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import kernels
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
+from repro.graphs.adjacency import Oriented
 
 
 @dataclass
@@ -37,27 +38,25 @@ def hg(spark: SparkSession, edges_df: DataFrame, k: int) -> HGResult:
 
 
 def hg_driver_from_oriented(
-    adj: dict[int, np.ndarray], nodes_in_order: np.ndarray, k: int
+    adj: Oriented, nodes_in_order: np.ndarray, k: int
 ) -> HGResult:
-    """Driver loop of Algorithm 1 over a prepared oriented adjacency.
+    """Driver loop of Algorithm 1 over a prepared oriented table.
 
-    ``nodes_in_order`` must be ascending in the same total order used
-    to orient ``adj``; validity masking implements node removal.
+    ``nodes_in_order`` holds node ids ascending in the same total order
+    used to orient ``adj``; validity masking (over dense positions)
+    implements node removal.
     """
-    n_max = int(nodes_in_order.max()) + 1 if len(nodes_in_order) else 0
-    valid = np.ones(n_max, dtype=bool)
+    valid = np.ones(adj.n, dtype=bool)
     S: list[tuple[int, ...]] = []
     inspected = 0
-    for u in nodes_in_order:
-        u = int(u)
+    for u in adj.pos(nodes_in_order).tolist():
         if not valid[u]:
             continue
         inspected += 1
         clique = kernels.find_first_clique(adj, u, k, valid)
         if clique is not None:
             S.append(clique)
-            for v in clique:
-                valid[v] = False
+            valid[adj.pos(clique)] = False
     return HGResult(S, n_inspected=inspected)
 
 

@@ -8,23 +8,29 @@ built from. They are plain Python/numpy so the *same* code runs
 - on the driver, for the sequential greedy tails (Algorithm 1's main
   loop, Algorithm 3's ``Calculation``).
 
-Representation: ``adj[u]`` is a sorted ``int64`` array of the
-out-neighbours of ``u`` in the DAG orientation (``eta(u) > eta(v)``),
-so each k-clique is enumerated exactly once from its highest-``eta``
-member (the standard kClist scheme the paper builds on). ``valid`` is
-an optional boolean mask over node ids: nodes already placed in S are
-masked out, which is how the framework "removes" chosen cliques
-without rebuilding the graph.
+Representation: ``adj`` is an :class:`~repro.graphs.adjacency.Oriented`
+table. Its nodes sit at dense positions, in ascending id; the
+out-neighbours of each in the DAG orientation (``eta(u) > eta(v)``)
+form one CSR, so each k-clique is enumerated exactly once from its
+highest-``eta`` member (the standard kClist scheme the paper builds
+on); the orientation's triangles form a second per-source CSR. A
+``source`` is a dense position, and cliques come back as tuples of node
+ids. ``valid`` is an optional boolean mask over dense positions: nodes
+already placed in S are masked out, which is how the framework
+"removes" chosen cliques without rebuilding the graph.
 
 Per source ``u``, the four oriented kernels share one local subgraph
-(kClist's, Danisch et al., WWW 2018): the valid out-neighbours N+(u),
-in ascending id, are relabelled 0..d-1 and each gets a Python-int
-bitmask of its out-neighbours inside N+(u). A candidate set is then a
-bitmask too, and one recursion step is ``cand & mask[i]`` with
-``int.bit_count()`` for its size. Set bits are visited from low to
-high, i.e. in ascending node id, so listing order, FindOne's first
-clique and FindMin's ``visited`` counter are those of a recursion over
-sorted id arrays.
+(kClist's, Danisch et al., WWW 2018): the out-neighbours N+(u), in
+ascending id, are local nodes 0..d-1, and each gets a Python-int
+bitmask of its out-neighbours inside N+(u), set by one loop over the
+triangles of ``u``: triangle row ``(i, j)`` is the arc from local node
+``i`` to local node ``j``. A candidate set is then a bitmask too, and
+one recursion step is ``cand & mask[i]`` with ``int.bit_count()`` for
+its size. ``valid`` enters only through the starting candidate mask,
+which every step narrows, so a masked node is never reached. Set bits
+are visited from low to high, i.e. in ascending node id, so listing
+order, FindOne's first clique and FindMin's ``visited`` counter are
+those of a recursion over sorted id arrays.
 
 The dynamic layer (Algorithms 5-7) lists with the same recursion, in
 ``cliques_in_subset``: over adjacency sets, on the common neighbours of
@@ -37,39 +43,40 @@ import time
 import numpy as np
 
 from repro.core.budgets import OOT_MARKER, SimulatedOOT
-
-_EMPTY = np.empty(0, dtype=np.int64)
+from repro.graphs.adjacency import Oriented
 
 
 def _local(adj, source, valid, need, undirected=False):
-    """The local subgraph of ``source``, or None if it has fewer than
-    ``need`` valid out-neighbours.
+    """The local subgraph of position ``source``, or None if it has
+    fewer than ``need`` valid out-neighbours.
 
-    Returns ``(ids, masks)``: ``ids[i]`` is the node id of local node
-    ``i`` (ascending) and bit ``j`` of ``masks[i]`` is set iff ``ids[j]``
-    is an out-neighbour of ``ids[i]`` (or, with ``undirected``, either
-    kind of neighbour).
+    Returns ``(nb, masks, cand)``: ``nb`` holds the positions of the
+    out-neighbours (ascending, so ascending id), bit ``j`` of
+    ``masks[i]`` is set iff ``nb[j]`` is an out-neighbour of ``nb[i]``
+    (or, with ``undirected``, either kind of neighbour), and ``cand``
+    has bit ``i`` set iff ``nb[i]`` is valid. An invalid node never
+    enters a recursion, which only ever narrows ``cand``.
     """
-    nodes = adj.get(source, _EMPTY)
-    if valid is not None and len(nodes):
-        nodes = nodes[valid[nodes]]
-    if len(nodes) < need:
+    a, b = adj.ptr[source:source + 2].tolist()
+    if b - a < need:
         return None
-    ids = nodes.tolist()
-    pos = {v: i for i, v in enumerate(ids)}
-    local = pos.keys()
-    masks = [0] * len(ids)
-    for i, v in enumerate(ids):
-        nb = adj.get(v)
-        if nb is None:
-            continue
-        bit = 1 << i
-        for w in local & nb.tolist():
-            j = pos[w]
+    nb = adj.ind[a:b]
+    if valid is None:
+        cand = (1 << (b - a)) - 1
+    else:
+        cand = int.from_bytes(np.packbits(valid[nb], bitorder="little").tobytes(), "little")
+        if cand.bit_count() < need:
+            return None
+    s, e = adj.tptr[source:source + 2].tolist()
+    masks = [0] * (b - a)
+    if undirected:
+        for i, j in adj.tri[s:e].tolist():
             masks[i] |= 1 << j
-            if undirected:
-                masks[j] |= bit
-    return ids, masks
+            masks[j] |= 1 << i
+    else:
+        for i, j in adj.tri[s:e].tolist():
+            masks[i] |= 1 << j
+    return nb, masks, cand
 
 
 def _check_deadline(deadline: float | None, what: str) -> None:
@@ -78,7 +85,7 @@ def _check_deadline(deadline: float | None, what: str) -> None:
 
 
 def enumerate_from_source(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     source: int,
     k: int,
     valid: np.ndarray | None = None,
@@ -94,8 +101,9 @@ def enumerate_from_source(
         out = []
     loc = _local(adj, source, valid, k - 1)
     if loc is not None:
-        ids, masks = loc
-        _enum_rec(ids, masks, (1 << len(ids)) - 1, k - 1, (source,), out, deadline)
+        nb, masks, cand = loc
+        prefix = (int(adj.nodes[source]),)
+        _enum_rec(adj.nodes[nb].tolist(), masks, cand, k - 1, prefix, out, deadline)
     return out
 
 
@@ -118,7 +126,7 @@ def _enum_rec(ids, masks, cand, need, prefix, out, deadline):
 
 
 def count_from_source(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     source: int,
     k: int,
     counts: dict[int, int],
@@ -137,12 +145,13 @@ def count_from_source(
     loc = _local(adj, source, None, k - 1, undirected=True)
     if loc is None:
         return
-    ids, masks = loc
-    local = [0] * len(ids)
-    total = _count_rec(masks, (1 << len(ids)) - 1, k - 1, local)
+    nb, masks, cand = loc
+    local = [0] * len(masks)
+    total = _count_rec(masks, cand, k - 1, local)
     if total:
-        counts[source] = counts.get(source, 0) + total
-        for u, c in zip(ids, local):
+        u = int(adj.nodes[source])
+        counts[u] = counts.get(u, 0) + total
+        for u, c in zip(adj.nodes[nb].tolist(), local):
             if c:
                 counts[u] = counts.get(u, 0) + c
 
@@ -176,7 +185,7 @@ def _count_rec(masks, cand, need, local):
 
 
 def find_first_clique(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     source: int,
     k: int,
     valid: np.ndarray | None,
@@ -187,8 +196,8 @@ def find_first_clique(
     loc = _local(adj, source, valid, k - 1)
     if loc is None:
         return None
-    ids, masks = loc
-    got = _first_rec(ids, masks, (1 << len(ids)) - 1, k - 1, (source,))
+    nb, masks, cand = loc
+    got = _first_rec(adj.nodes[nb].tolist(), masks, cand, k - 1, (int(adj.nodes[source]),))
     return tuple(sorted(got)) if got is not None else None
 
 
@@ -211,7 +220,7 @@ def _first_rec(ids, masks, cand, need, prefix):
 
 
 def find_min_clique(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     scores: dict[int, int],
     source: int,
     k: int,
@@ -235,11 +244,12 @@ def find_min_clique(
     loc = _local(adj, source, valid, k - 1)
     if loc is None:
         return None
-    ids, masks = loc
+    nb, masks, cand = loc
+    ids = adj.nodes[nb].tolist()
     local_scores = [scores.get(v, 0) for v in ids]
+    u = int(adj.nodes[source])
     best: list = [None, None]  # [score, members]
-    visited = _min_rec(ids, masks, local_scores, (1 << len(ids)) - 1, k - 1, (source,),
-                       scores.get(source, 0), best, prune)
+    visited = _min_rec(ids, masks, local_scores, cand, k - 1, (u,), scores.get(u, 0), best, prune)
     if stats is not None:
         stats["visited"] = stats.get("visited", 0) + visited
     if best[0] is None:

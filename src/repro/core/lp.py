@@ -34,6 +34,7 @@ from repro.core.prepare import Prepared
 # Unused; kept because perfbench.tracing.LAYERS looks this name up.
 from repro.core.scores import collect_scores  # noqa: F401
 from repro.graphs import datasets
+from repro.graphs.adjacency import Oriented
 
 
 @dataclass
@@ -72,7 +73,7 @@ def lp(
 
 def _heap_init_spark(
     spark: SparkSession,
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     scores: dict[int, int],
     k: int,
     prune: bool,
@@ -91,16 +92,16 @@ def _heap_init_spark(
 
 
 def _heap_init(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     scores: dict[int, int],
     sources: list[int],
     k: int,
     prune: bool,
     deadline: float | None = None,
 ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-    """One FindMin per source: the ``(score, members, source)`` heap rows
-    and the ``visited`` count summed over every source, including those
-    that root no clique."""
+    """One FindMin per source (a dense position): the ``(score, members,
+    source)`` heap rows and the ``visited`` count summed over every
+    source, including those that root no clique."""
     rows = []
     visited = 0
     for u in sources:
@@ -114,7 +115,7 @@ def _heap_init(
 
 
 def _calculation(
-    adj: dict[int, np.ndarray],
+    adj: Oriented,
     scores: dict[int, int],
     heap_rows: list[tuple[int, tuple[int, ...], int]],
     visited: int,
@@ -125,17 +126,15 @@ def _calculation(
     starts from HeapInit's count."""
     heap = list(heap_rows)
     heapq.heapify(heap)
-    n_max = 0
-    for u, nb in adj.items():
-        n_max = max(n_max, u + 1, int(nb.max()) + 1 if len(nb) else 0)
-    valid = np.ones(n_max, dtype=bool)
+    valid = np.ones(adj.n, dtype=bool)
     S: list[tuple[int, ...]] = []
     recomputes = 0
     while heap:
         score, members, src = heapq.heappop(heap)
-        if all(valid[list(members)]):
+        at = adj.pos(members)
+        if valid[at].all():
             S.append(members)
-            valid[list(members)] = False
+            valid[at] = False
             continue
         # Stale entry: its source may still root other cliques.
         if not valid[src]:
@@ -160,5 +159,5 @@ def lp_driver(prep: Prepared, prune: bool = True) -> LPResult:
     """Algorithm 3 on the driver over a prepared graph: HeapInit as a
     loop over the sources, then ``Calculation``."""
     adj, scores = prep.adj, prep.scores
-    heap_rows, visited = _heap_init(adj, scores, sorted(adj), prep.k, prune)
+    heap_rows, visited = _heap_init(adj, scores, adj.sources(prep.k).tolist(), prep.k, prune)
     return _calculation(adj, scores, heap_rows, visited, prep.k, prune)

@@ -11,6 +11,13 @@ HG, which needs only the degree orientation, never counts, and only
 L/LP reaches the score ordering and its orientation (``rank``,
 ``adj``): clique listing emits sorted member tuples, so GC and OPT list
 on the degree orientation.
+
+Each orientation is one :class:`~repro.graphs.adjacency.Oriented`
+table: out-neighbour CSR plus the orientation's triangles as a second
+per-source CSR of local pairs, found once by a vectorized wedge check.
+Every kernel call builds its local subgraph from those pairs. Both
+tables have the same nodes, so a dense position means the same node in
+either, and ``valid`` masks are indexed by it.
 """
 from __future__ import annotations
 
@@ -21,6 +28,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.graphs import adjacency as adj_mod
+from repro.graphs.adjacency import Oriented
 
 
 @dataclass(eq=False)
@@ -33,23 +41,23 @@ class Prepared:
         return adj_mod.rank_by_degree(self.edges)
 
     @cached_property
-    def degree_adj(self) -> dict[int, np.ndarray]:
+    def degree_adj(self) -> Oriented:
         return adj_mod.orient_by_rank(self.edges, self.degree_rank)
 
     @cached_property
     def scores(self) -> dict[int, int]:
         """Node scores ``s_n``; nodes in no k-clique are absent (score 0)."""
-        counts: dict[int, int] = {}
-        for u in self.degree_adj:
-            kernels.count_from_source(self.degree_adj, u, self.k, counts)
+        adj, counts = self.degree_adj, {}
+        for u in adj.sources(self.k).tolist():
+            kernels.count_from_source(adj, u, self.k, counts)
         return counts
 
     def cliques(self) -> list[tuple[int, ...]]:
         """Every k-clique as its sorted member tuple, listed once on the
         degree orientation (GC and OPT on the driver)."""
-        out: list[tuple[int, ...]] = []
-        for u in self.degree_adj:
-            kernels.enumerate_from_source(self.degree_adj, u, self.k, out=out)
+        adj, out = self.degree_adj, []
+        for u in adj.sources(self.k).tolist():
+            kernels.enumerate_from_source(adj, u, self.k, out=out)
         return out
 
     @cached_property
@@ -57,5 +65,5 @@ class Prepared:
         return adj_mod.rank_from_scores(self.scores, self.degree_rank)
 
     @cached_property
-    def adj(self) -> dict[int, np.ndarray]:
+    def adj(self) -> Oriented:
         return adj_mod.orient_by_rank(self.edges, self.rank)

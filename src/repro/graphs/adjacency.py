@@ -1,4 +1,4 @@
-"""Total orderings, DAG orientation and adjacency materialization (numpy).
+"""Total orderings, DAG orientation and the oriented table (numpy).
 
 All static algorithms in the paper share the same preparation: pick a
 total node ordering ``eta``, orient each undirected edge from the
@@ -6,33 +6,123 @@ higher-``eta`` endpoint to the lower one (``u -> v`` iff
 ``eta(u) > eta(v)``), and enumerate each k-clique exactly once from
 its highest-``eta`` member. Both orderings (degree, then node score)
 and the orientation are computed on the driver from the numpy edge
-array; the result is a dict of sorted numpy out-neighbour arrays, which
-is what the enumeration kernels consume on the driver and, broadcast,
-in Spark tasks. ``repro.core.prepare.Prepared`` runs the
+array; the result is one :class:`Oriented` table of compact arrays,
+which is what the enumeration kernels consume on the driver and,
+broadcast, in Spark tasks. ``repro.core.prepare.Prepared`` runs the
 sequence once per (graph, k) for both backends.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from pyspark.sql import DataFrame
 
+# Wedges checked per vectorized step of the triangle search: bounds the
+# temporary arrays to a few MB whatever the graph.
+WEDGE_CHUNK = 1 << 16
+# Sources whose out-neighbourhoods are marked at once, one bit each.
+_GROUP = 64
+
+
+@dataclass(eq=False)
+class Oriented:
+    """One orientation as two per-source CSRs over dense positions.
+
+    - ``nodes``: every node id, ascending; a node's dense position is its
+      index here, so positions rise with id.
+    - ``ptr``/``ind``: the out-neighbours of position ``p`` are the
+      positions ``ind[ptr[p]:ptr[p+1]]``, ascending.
+    - ``tptr``/``tri``: the orientation's triangles, grouped by source.
+      Row ``(i, j)`` of ``tri[tptr[p]:tptr[p+1]]`` is a pair of local
+      indices into the out-neighbours of ``p``: with ``a = ptr[p]``,
+      ``ind[a+j]`` is an out-neighbour of ``ind[a+i]``. These pairs are
+      the edges of the local subgraph on N+(p) that the kernels search.
+    """
+
+    nodes: np.ndarray
+    ptr: np.ndarray
+    ind: np.ndarray
+    tptr: np.ndarray
+    tri: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.nodes)
+
+    def pos(self, ids) -> np.ndarray:
+        """Dense positions of node ids (which must be nodes of the table)."""
+        return np.searchsorted(self.nodes, ids)
+
+    def sources(self, k: int) -> np.ndarray:
+        """Positions that can root a k-clique: out-degree >= k-1."""
+        return np.flatnonzero(np.diff(self.ptr) >= k - 1)
+
+
+def _table(nodes: np.ndarray, key: np.ndarray) -> Oriented:
+    """The table of the arcs with keys ``pos(u) * n + pos(v)`` (sorted here,
+    in place)."""
+    n = len(nodes)
+    key.sort()  # arcs ordered by (source, target)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
+    ind = (key % n).astype(np.int32 if n < 2**31 else np.int64)
+    tsrc, tri = _triangles(key, ptr, ind)
+    tptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
+    return Oriented(nodes, ptr, ind, tptr, tri)
+
+
+def _triangles(key: np.ndarray, ptr: np.ndarray, ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source and the int32 local pair ``(i, j)`` of every triangle,
+    grouped by source, as the arcs are.
+
+    Every wedge ``u -> v -> w`` is checked for the arc ``u -> w``. Sources
+    are taken ``_GROUP`` at a time: ``mark[w]`` has the bit of each source
+    of the group that has the arc to ``w``, so one gather checks a wedge,
+    and a binary search among the group's sorted arc keys gives the local
+    index of ``w`` for the wedges that close. Wedges are numbered in arc
+    order, then in N+(v) order, and checked ``WEDGE_CHUNK`` at a time.
+    """
+    n = len(ptr) - 1
+    deg = np.diff(ptr)
+    end = np.cumsum(deg[ind])  # arc e owns the wedges [end[e] - deg[ind[e]], end[e])
+    mark = np.zeros(n, dtype=np.uint64)
+    srcs, pairs = [ind[:0]], [np.empty((0, 2), dtype=np.int32)]
+    for g in range(0, n, _GROUP):
+        a, b = ptr[g], ptr[min(g + _GROUP, n)]  # the arcs out of the group
+        if a == b:
+            continue
+        d = deg[g:g + _GROUP]
+        bit = np.left_shift(np.uint64(1), np.repeat(np.arange(len(d), dtype=np.uint64), d))
+        np.bitwise_or.at(mark, ind[a:b], bit)
+        for lo in range(int(end[a] - deg[ind[a]]), int(end[b - 1]), WEDGE_CHUNK):
+            hi = min(lo + WEDGE_CHUNK, int(end[b - 1]))
+            e0, e1 = np.searchsorted(end, [lo, hi - 1], side="right").tolist()
+            arcs = np.arange(e0, e1 + 1)
+            v = ind[arcs]
+            start = end[arcs] - deg[v]
+            count = np.minimum(end[arcs], hi) - np.maximum(start, lo)
+            # wedge x of arc e ends at ind[ptr[v] + x - start(e)]
+            third = ind[np.repeat(ptr[v] - start, count) + np.arange(lo, hi)]
+            e = np.repeat(arcs, count)
+            hit = (mark[third] & bit[e - a]) != 0  # u -> w is an arc too: a triangle
+            e, third = e[hit], third[hit]
+            u = key[e] // n
+            at = np.searchsorted(key[a:b], u * n + third) + a
+            srcs.append(u.astype(ind.dtype))
+            pairs.append(np.column_stack((e - ptr[u], at - ptr[u])).astype(np.int32))
+        mark[ind[a:b]] = 0
+    return np.concatenate(srcs), np.concatenate(pairs)
+
 
 # No caller; kept because perfbench.tracing.LAYERS looks this name up.
-def collect_out_adjacency(oriented_df: DataFrame) -> dict[int, np.ndarray]:
-    """Oriented ``(src, dst)`` DataFrame as ``{u: sorted N+(u)}``."""
+def collect_out_adjacency(oriented_df: DataFrame) -> Oriented:
+    """Oriented ``(src, dst)`` DataFrame as the table over its endpoints."""
     pdf = oriented_df.toPandas()
-    return _group_sorted(pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64))
-
-
-def _group_sorted(key: np.ndarray, val: np.ndarray) -> dict[int, np.ndarray]:
-    """``{key: sorted values}``; the arrays are views of one buffer."""
-    order = np.lexsort((val, key))
-    key, val = key[order], val[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], len(key)).tolist()
-    return {u: val[s:e] for u, s, e in zip(key[starts].tolist(), starts.tolist(), ends)}
+    src, dst = pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)
+    nodes = np.unique(np.concatenate([src, dst]))
+    return _table(nodes, np.searchsorted(nodes, src) * len(nodes) + np.searchsorted(nodes, dst))
 
 
 def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
@@ -45,17 +135,25 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
     return out
 
 
-def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> dict[int, np.ndarray]:
+def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> Oriented:
     """DAG orientation (Algorithm 1 line 3): ``u -> v`` iff
-    ``rank[u] > rank[v]``. Returns out-adjacency arrays sorted by node id."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ``rank[u] > rank[v]``, as the table over the nodes of ``rank``."""
     nodes = np.fromiter(rank.keys(), dtype=np.int64, count=len(rank))
     ranks = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
     order = np.argsort(nodes)
     nodes, ranks = nodes[order], ranks[order]
-    u, v = edges[:, 0], edges[:, 1]
-    up = ranks[np.searchsorted(nodes, u)] > ranks[np.searchsorted(nodes, v)]
-    return _group_sorted(np.where(up, u, v), np.where(up, v, u))
+    return _table(nodes, _arc_keys(edges, nodes, ranks))
+
+
+def _arc_keys(edges: np.ndarray, nodes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``pos(u) * n + pos(v)`` of each arc ``u -> v``, higher rank first."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pu, pv = np.searchsorted(nodes, edges[:, 0]), np.searchsorted(nodes, edges[:, 1])
+    down = ranks[pu] < ranks[pv]
+    pu[down], pv[down] = pv[down], pu[down]
+    pu *= len(nodes)
+    pu += pv
+    return pu
 
 
 def rank_by_degree(edges: np.ndarray) -> dict[int, int]:

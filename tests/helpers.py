@@ -161,6 +161,42 @@ def _ref_min_rec(adj, scores, cand, need, prefix, s_cur, best, valid, prune, sta
             _ref_min_rec(adj, scores, nxt, need - 1, prefix + (v,), s_v, best, valid, prune, stats)
 
 
+def ref_local(adj, source, valid, need, undirected=False):
+    """The local subgraph the bitset kernels searched before the oriented
+    table: ``(ids, masks)`` over the valid out-neighbours of node id
+    ``source`` in ascending id, built with one set intersection per
+    out-neighbour, or None if fewer than ``need`` are valid. ``valid`` is
+    indexed by node id."""
+    nodes = adj.get(source, _EMPTY)
+    if valid is not None and len(nodes):
+        nodes = nodes[valid[nodes]]
+    if len(nodes) < need:
+        return None
+    ids = nodes.tolist()
+    pos = {v: i for i, v in enumerate(ids)}
+    local = pos.keys()
+    masks = [0] * len(ids)
+    for i, v in enumerate(ids):
+        nb = adj.get(v)
+        if nb is None:
+            continue
+        bit = 1 << i
+        for w in local & nb.tolist():
+            j = pos[w]
+            masks[i] |= 1 << j
+            if undirected:
+                masks[j] |= bit
+    return ids, masks
+
+
+def as_dict(table):
+    """An ``adjacency.Oriented`` table as ``{u: sorted N+(u) ids}`` over
+    the nodes with out-neighbours: the form the reference oracles take."""
+    nodes, ptr = table.nodes, table.ptr
+    return {int(nodes[p]): nodes[table.ind[ptr[p]:ptr[p + 1]]]
+            for p in np.flatnonzero(np.diff(ptr)).tolist()}
+
+
 def ref_rank_by_degree(edges):
     deg: dict[int, int] = {}
     for u, v in edges:

@@ -1,8 +1,9 @@
-"""Property tests: the bitset kernels and the numpy rank/orient helpers
-against the np.intersect1d kernels and loop helpers they replaced
-(``tests.helpers.ref_*``). Results must be identical, not just
-equivalent: listing order, FindMin's (score, members) and its
-``visited`` counter, FindOne's first clique."""
+"""Property tests: the bitset kernels on the oriented table and the numpy
+rank/orient helpers against the np.intersect1d kernels and loop helpers
+they replaced (``tests.helpers.ref_*``), and the table's local subgraphs
+against the set-intersection build they replaced (``ref_local``).
+Results must be identical, not just equivalent: listing order, FindMin's
+(score, members) and its ``visited`` counter, FindOne's first clique."""
 import numpy as np
 import pytest
 
@@ -24,33 +25,41 @@ def _graph(seed, kind):
 
 
 def _orientations(e, k):
-    """Degree orientation, score orientation (LP's), and the scores."""
-    adj0 = H.ref_orient_by_rank(e, H.ref_rank_by_degree(e))
+    """Degree orientation, score orientation (LP's), each as the
+    reference dict and as the table, and the scores."""
+    r0 = H.ref_rank_by_degree(e)
+    adj0 = H.ref_orient_by_rank(e, r0)
     scores: dict[int, int] = {}
     for u in adj0:
         H.ref_count_from_source(adj0, u, k, scores)
-    nodes = {int(v) for v in e.reshape(-1)}
-    adj1 = H.ref_orient_by_rank(e, H.ref_rank_from_scores(scores, nodes))
-    return adj0, adj1, scores
+    r1 = H.ref_rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
+    adj1 = H.ref_orient_by_rank(e, r1)
+    return (adj0, adj_mod.orient_by_rank(e, r0)), (adj1, adj_mod.orient_by_rank(e, r1)), scores
 
 
 def _masks(e, seed):
-    """No mask, and two random ones (about 80 % and 50 % of nodes valid)."""
+    """No mask, and two random ones (about 80 % and 50 % of nodes valid),
+    indexed by node id."""
     rng = np.random.default_rng(seed)
     n = int(e.max()) + 1
     return [None, rng.random(n) < 0.8, rng.random(n) < 0.5]
+
+
+def _at(table, valid):
+    """An id-indexed mask as the kernels take it: over dense positions."""
+    return None if valid is None else valid[table.nodes]
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_count_matches_reference(seed, kind, k):
     e = _graph(seed, kind)
-    for adj in _orientations(e, k)[:2]:
+    for adj, t in _orientations(e, k)[:2]:
         got: dict[int, int] = {}
         want: dict[int, int] = {}
-        for u in adj:
-            kernels.count_from_source(adj, u, k, got)
-            H.ref_count_from_source(adj, u, k, want)
+        for p in range(t.n):
+            kernels.count_from_source(t, p, k, got)
+            H.ref_count_from_source(adj, int(t.nodes[p]), k, want)
         assert got == want
 
 
@@ -58,13 +67,13 @@ def test_count_matches_reference(seed, kind, k):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_enumeration_order_matches_reference(seed, kind, k):
     e = _graph(seed, kind)
-    for adj in _orientations(e, k)[:2]:
+    for adj, t in _orientations(e, k)[:2]:
         for valid in _masks(e, seed):
             got: list = []
             want: list = []
-            for u in adj:
-                kernels.enumerate_from_source(adj, u, k, valid, out=got)
-                H.ref_enumerate_from_source(adj, u, k, valid, out=want)
+            for p in range(t.n):
+                kernels.enumerate_from_source(t, p, k, _at(t, valid), out=got)
+                H.ref_enumerate_from_source(adj, int(t.nodes[p]), k, valid, out=want)
             assert got == want
 
 
@@ -72,14 +81,14 @@ def test_enumeration_order_matches_reference(seed, kind, k):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_find_min_and_visited_match_reference(seed, kind, k):
     e = _graph(seed, kind)
-    _, adj, scores = _orientations(e, k)
+    _, (adj, t), scores = _orientations(e, k)
     for valid in _masks(e, seed):
         for prune in (True, False):
-            for u in adj:
+            for p in range(t.n):
                 st_got: dict = {}
                 st_want: dict = {}
-                got = kernels.find_min_clique(adj, scores, u, k, valid, prune, st_got)
-                want = H.ref_find_min_clique(adj, scores, u, k, valid, prune, st_want)
+                got = kernels.find_min_clique(t, scores, p, k, _at(t, valid), prune, st_got)
+                want = H.ref_find_min_clique(adj, scores, int(t.nodes[p]), k, valid, prune, st_want)
                 assert got == want
                 assert st_got.get("visited", 0) == st_want.get("visited", 0)
 
@@ -88,11 +97,98 @@ def test_find_min_and_visited_match_reference(seed, kind, k):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_find_first_matches_reference(seed, kind, k):
     e = _graph(seed, kind)
-    adj = _orientations(e, k)[0]
+    adj, t = _orientations(e, k)[0]
     for valid in _masks(e, seed):
-        for u in adj:
-            got = kernels.find_first_clique(adj, u, k, valid)
-            assert got == H.ref_find_first_clique(adj, u, k, valid)
+        for p in range(t.n):
+            got = kernels.find_first_clique(t, p, k, _at(t, valid))
+            assert got == H.ref_find_first_clique(adj, int(t.nodes[p]), k, valid)
+
+
+def _on_cand(t, loc):
+    """The table's local subgraph cut down to its starting candidates:
+    the ``(ids, masks)`` that ``ref_local`` builds over valid nodes only."""
+    if loc is None:
+        return None
+    nb, masks, cand = loc
+    keep = [i for i in range(len(masks)) if cand >> i & 1]
+    new = {i: j for j, i in enumerate(keep)}
+    ids = t.nodes[nb[keep]].tolist()
+    return ids, [sum(1 << new[j] for j in new if masks[i] >> j & 1) for i in keep]
+
+
+def _assert_locals_match(e, valids, needs=(1, 2, 4)):
+    """Every source's local subgraph of both orientations, directed and
+    undirected, under every mask, against ``ref_local``; an unmasked
+    one must come back with every out-neighbour a candidate."""
+    for adj, t in _orientations(e, 4)[:2]:
+        for valid in valids:
+            for p in range(t.n):
+                u = int(t.nodes[p])
+                for need in needs:
+                    for undirected in (False, True):
+                        got = kernels._local(t, p, _at(t, valid), need, undirected)
+                        assert _on_cand(t, got) == H.ref_local(adj, u, valid, need, undirected)
+                        if got is not None and valid is None:
+                            assert got[2] == (1 << len(got[1])) - 1
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+def test_local_subgraph_matches_reference(seed, kind):
+    e = _graph(seed, kind)
+    _assert_locals_match(e, _masks(e, seed))
+
+
+def test_local_subgraph_of_empty_graph():
+    e = np.empty((0, 2), dtype=np.int64)
+    t = adj_mod.orient_by_rank(e, {})
+    assert (t.n, len(t.ind), t.tri.shape) == (0, 0, (0, 2))
+    assert len(t.sources(3)) == 0
+    t = adj_mod.orient_by_rank(e, {7: 0, 9: 1})  # nodes, but no arc
+    assert t.ptr.tolist() == t.tptr.tolist() == [0, 0, 0]
+    assert kernels._local(t, 1, None, 1) is None
+
+
+def test_local_subgraph_wider_than_a_word():
+    """A hub with 90 out-neighbours: masks and candidates span two
+    64-bit words, and the random masks cut bits in both."""
+    rng = np.random.default_rng(5)
+    hub = [(0, v) for v in range(1, 91)]
+    among = [(a, b) for a in range(1, 91) for b in range(a + 1, 91) if rng.random() < 0.15]
+    e = np.array(hub + among, dtype=np.int64)
+    t = _orientations(e, 4)[0][1]
+    assert np.diff(t.ptr).max() >= 90
+    _assert_locals_match(e, _masks(e, 5))
+
+
+class _Shifted:
+    """An id-indexed mask over ids offset by ``off``, without allocating
+    an entry per id below it."""
+
+    def __init__(self, base, off):
+        self.base, self.off = base, off
+
+    def __getitem__(self, ids):
+        return self.base[np.asarray(ids) - self.off]
+
+
+def test_local_subgraph_with_ids_near_1e10():
+    small = _graph(0, "pp")
+    off = 10**10 - 7
+    _assert_locals_match(small + off, [None] + [_Shifted(m, off) for m in _masks(small, 0)[1:]])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 500])
+def test_triangles_do_not_depend_on_the_wedge_chunk(monkeypatch, chunk):
+    e = _graph(1, "er")
+    rank = adj_mod.rank_by_degree(e)
+    whole = adj_mod.orient_by_rank(e, rank)
+    assert np.diff(whole.ptr)[whole.ind].sum() > 2 * chunk, "more wedges than one chunk"
+    monkeypatch.setattr(adj_mod, "WEDGE_CHUNK", chunk)
+    cut = adj_mod.orient_by_rank(e, rank)
+    for name in ("nodes", "ptr", "ind", "tptr", "tri"):
+        assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
+    if chunk == 7:
+        _assert_locals_match(e, _masks(e, 1), needs=(2,))
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -107,7 +203,7 @@ def test_numpy_rank_and_orient_match_loops(seed, kind):
     by_score = adj_mod.rank_from_scores(scores, nodes)
     assert by_score == H.ref_rank_from_scores(scores, nodes)
     for r in (rank, by_score):
-        got = adj_mod.orient_by_rank(e, r)
+        got = H.as_dict(adj_mod.orient_by_rank(e, r))
         want = H.ref_orient_by_rank(e, r)
         assert got.keys() == want.keys()
         for u in want:
@@ -116,12 +212,13 @@ def test_numpy_rank_and_orient_match_loops(seed, kind):
 
 
 def test_orient_with_large_ids_matches_loop():
-    """Ids too large for ``_group_sorted``'s single int64 sort key take
-    its two-key path."""
+    """Ids whose pairs overflow an int64 key: the table keys its arcs by
+    dense positions."""
     e = _graph(0, "pp") + 2**40
     rank = adj_mod.rank_by_degree(e)
     assert rank == H.ref_rank_by_degree(e)
-    got, want = adj_mod.orient_by_rank(e, rank), H.ref_orient_by_rank(e, rank)
+    got = H.as_dict(adj_mod.orient_by_rank(e, rank))
+    want = H.ref_orient_by_rank(e, rank)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[u], want[u]) for u in want)
 
@@ -130,16 +227,16 @@ def test_numpy_rank_and_orient_empty():
     e = np.empty((0, 2), dtype=np.int64)
     assert adj_mod.rank_by_degree(e) == {}
     assert adj_mod.rank_from_scores({}, set()) == {}
-    assert adj_mod.orient_by_rank(e, {}) == {}
+    assert H.as_dict(adj_mod.orient_by_rank(e, {})) == {}
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_prepare_matches_the_loop_sequence(k):
     e = _graph(1, "pp")
-    adj0, adj1, scores = _orientations(e, k)
+    (adj0, _), (adj1, _), scores = _orientations(e, k)
     prep = Prepared(e, k)
     assert prep.scores == scores
-    for got, want in ((prep.degree_adj, adj0), (prep.adj, adj1)):
+    for got, want in ((H.as_dict(prep.degree_adj), adj0), (H.as_dict(prep.adj), adj1)):
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[u], want[u]) for u in want)
 

@@ -19,7 +19,7 @@ def _oriented(e, rank=None):
 
 def _all_listed(adj, k):
     out = []
-    for u in adj:
+    for u in range(adj.n):
         kernels.enumerate_from_source(adj, u, k, out=out)
     return out
 
@@ -57,7 +57,7 @@ def test_count_matches_enumeration(seed, k):
     e = random_graph(seed, 40)
     adj = _oriented(e)
     counts: dict[int, int] = {}
-    for u in adj:
+    for u in range(adj.n):
         kernels.count_from_source(adj, u, k, counts)
     listed = _all_listed(adj, k)
     want: dict[int, int] = {}
@@ -71,7 +71,7 @@ def test_count_fig2_matches_example3():
     """Example 3: s_n(v6) = s_n(v5) = s_n(v8) = 3."""
     adj = _oriented(paper_fig2_edges())
     counts: dict[int, int] = {}
-    for u in adj:
+    for u in range(adj.n):
         kernels.count_from_source(adj, u, 3, counts)
     assert counts[6] == 3 and counts[5] == 3 and counts[8] == 3
     assert counts[1] == 1 and counts[2] == 1
@@ -84,11 +84,11 @@ def test_find_first_returns_a_real_clique(seed, k):
     adj = _oriented(e)
     sets_ = adj_mod.adj_sets(e)
     found_any = False
-    for u in adj:
+    for u in range(adj.n):
         got = kernels.find_first_clique(adj, u, k, None)
         if got is not None:
             found_any = True
-            assert u in got and len(got) == k
+            assert adj.nodes[u] in got and len(got) == k
             assert validate.is_clique(sets_, got)
     assert found_any
 
@@ -97,11 +97,12 @@ def test_find_first_respects_valid_mask():
     e = paper_fig2_edges()
     rank = {v: v for v in range(1, 10)}  # id ordering
     adj = adj_mod.orient_by_rank(e, rank)
-    valid = np.ones(10, dtype=bool)
-    got = kernels.find_first_clique(adj, 6, 3, valid)
+    valid = np.ones(adj.n, dtype=bool)
+    v6 = int(adj.pos(6))
+    got = kernels.find_first_clique(adj, v6, 3, valid)
     assert got is not None
-    valid[list(got)] = False
-    again = kernels.find_first_clique(adj, 6, 3, valid)
+    valid[adj.pos(got)] = False
+    again = kernels.find_first_clique(adj, v6, 3, valid)
     assert again is None, "v6 itself is invalid-free but members are masked"
 
 
@@ -114,11 +115,11 @@ def test_find_min_is_exact_minimum(seed, k, prune):
     e = random_graph(seed, 36)
     adj0 = _oriented(e)
     scores: dict[int, int] = {}
-    for u in adj0:
+    for u in range(adj0.n):
         kernels.count_from_source(adj0, u, k, scores)
     rank = adj_mod.rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
     adj = adj_mod.orient_by_rank(e, rank)
-    for u in adj:
+    for u in range(adj.n):
         exhaustive = []
         kernels.enumerate_from_source(adj, u, k, out=exhaustive)
         want = min(
@@ -133,13 +134,13 @@ def test_find_min_pruning_reduces_visits():
     e = random_graph(3, 60, "plc")
     adj0 = _oriented(e)
     scores: dict[int, int] = {}
-    for u in adj0:
+    for u in range(adj0.n):
         kernels.count_from_source(adj0, u, 4, scores)
     rank = adj_mod.rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
     adj = adj_mod.orient_by_rank(e, rank)
     visited = {True: 0, False: 0}
     for prune in (True, False):
-        for u in adj:
+        for u in range(adj.n):
             st: dict = {}
             kernels.find_min_clique(adj, scores, u, 4, prune=prune, stats=st)
             visited[prune] += st.get("visited", 0)
@@ -151,7 +152,7 @@ def test_enumeration_deadline_raises():
     e = random_graph(0, 80, "plc")
     adj = _oriented(e)
     with pytest.raises(SimulatedOOT):
-        for u in adj:
+        for u in range(adj.n):
             kernels.enumerate_from_source(adj, u, 4, deadline=time.time() - 1)
 
 

@@ -14,6 +14,7 @@ from repro.core.hg import hg, hg_numpy
 from repro.core.lp import lp, lp_numpy
 from repro.core.opt import opt, opt_or_status
 from repro.core.prepare import Prepared
+from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 
 from tests.helpers import paper_fig2_edges, random_graph
@@ -69,13 +70,22 @@ def test_gc_rounds_then_driver_tail_equal_driver(spark, ftb):
 def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     """Node ids of eleven digits: the bowtie (two triangles sharing one
     node, equal clique scores) breaks the tie on the member tuple, and
-    Spark GC and OPT must break it as GC on the driver does."""
+    Spark GC and OPT, and L/LP on both backends, must break it as GC on
+    the driver does. HG and L/LP mask chosen nodes over dense positions,
+    so none of them allocates an entry per id."""
     bowtie = np.array([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], dtype=np.int64)
     e = bowtie + 9_999_999_998
     df = datasets.edges_to_df(spark, e)
     want = gc_numpy(e, 3).S
+    assert want == [tuple(range(9_999_999_998, 10_000_000_001))]
     assert gc(spark, df, 3, driver_threshold=0).S == want
     assert opt(spark, df, 3).S == want
+    for prune in (True, False):
+        assert lp_numpy(e, 3, prune).S == want
+        assert lp(spark, df, 3, prune=prune).S == want
+    got = hg_numpy(e, 3).S
+    assert len(got) == 1 and validate.is_clique(adj_mod.adj_sets(e), got[0])
+    assert hg(spark, df, 3).S == got
 
 
 def test_lp_without_prune_same_result(spark, ftb):
@@ -149,7 +159,9 @@ def test_fan_out_edge_cases_equal_numpy(spark, edges, k, n_sources):
 def test_fan_out_deals_sources_evenly(spark):
     """Slice sizes differ by at most one, also past ``parallelize``'s
     1024-element serialization batches."""
-    adj = dict.fromkeys(range(20_000), np.arange(2))
+    # Leaves 2..20001 ranked above the two hubs: out-degree 2 each.
+    edges = np.array([(h, v) for v in range(2, 20_002) for h in (0, 1)], dtype=np.int64)
+    adj = adj_mod.orient_by_rank(edges, {v: v for v in range(20_002)})
     sizes = clique_listing.fan_out(spark, adj, 3, len)
     assert sum(sizes) == 20_000 and max(sizes) - min(sizes) <= 1
 
@@ -204,12 +216,11 @@ def test_clique_scores_spark_match_driver(spark, ftb):
     k = 3
     scored = clique_listing.list_kcliques(spark, Prepared(e, k))
     from repro.core import kernels
-    from repro.graphs import adjacency as adj_mod
 
     rank = adj_mod.rank_by_degree(e)
     adj = adj_mod.orient_by_rank(e, rank)
     counts: dict[int, int] = {}
-    for u in adj:
+    for u in range(adj.n):
         kernels.count_from_source(adj, u, k, counts)
     for *members, score in scored.tolist():
         assert score == sum(counts[v] for v in members)

@@ -12,7 +12,7 @@ from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 from repro.oracle import assert_equivalent
 
-from tests.helpers import list_kcliques_joins, paper_fig2_edges, random_graph
+from tests.helpers import as_dict, list_kcliques_joins, paper_fig2_edges, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def test_oriented_edges_form_dag(ftb):
     e, _ = ftb
     rank = adj_mod.rank_by_degree(e)
     adj = adj_mod.orient_by_rank(e, rank)
-    arcs = [(u, int(v)) for u, nb in adj.items() for v in nb]
+    arcs = [(u, int(v)) for u, nb in as_dict(adj).items() for v in nb]
     for s, d in arcs:
         assert rank[s] > rank[d]
     assert len(arcs) == len(e)

@@ -18,7 +18,7 @@ def _scores_and_cliques(e, k):
     adj = adj_mod.orient_by_rank(e, rank)
     scores: dict[int, int] = {}
     cliques: list[tuple[int, ...]] = []
-    for u in adj:
+    for u in range(adj.n):
         kernels.count_from_source(adj, u, k, scores)
         kernels.enumerate_from_source(adj, u, k, out=cliques)
     return scores, cliques
