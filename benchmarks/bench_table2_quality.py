@@ -2,22 +2,13 @@
 solution quality on the dataset stand-ins."""
 import pytest
 
-from repro.core.gc import gc
-from repro.core.hg import hg
-from repro.core.lp import lp
 from repro.graphs import datasets
-from repro.tables import common
 
 
 @pytest.mark.parametrize("name", ["FTB", "HST"])
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("algo", ["HG", "GC", "LP"])
-def test_static_algorithms(benchmark, spark, name, k, algo):
-    df = datasets.spark_edges(spark, name).cache()
-    df.count()
-    fn = {"HG": hg, "GC": gc, "LP": lp}[algo]
-    kwargs = {}
-    if algo in ("GC", "LP"):
-        kwargs["budget"] = common.fresh_budget()
-    res = benchmark.pedantic(fn, args=(spark, df, k), kwargs=kwargs, rounds=1, iterations=1)
+def test_static_algorithms(benchmark, heuristic, name, k, algo):
+    e = datasets.edges(name)
+    res = benchmark.pedantic(heuristic, args=(algo, e, k), rounds=1, iterations=1)
     assert res.size >= 0

@@ -1,22 +1,14 @@
 """Benchmark behind Tables V-VI: Watts-Strogatz density sweep."""
 import pytest
 
-from repro.core.gc import gc
-from repro.core.hg import hg
-from repro.core.lp import lp
-from repro.graphs import datasets as ds_mod
 from repro.graphs import generators as gen
-from repro.tables import common, synthetic
+from repro.tables import synthetic
 
 
 @pytest.mark.parametrize("degree", [8, 16])
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("algo", ["HG", "GC", "LP"])
-def test_ws_sweep(benchmark, spark, degree, k, algo):
+def test_ws_sweep(benchmark, heuristic, degree, k, algo):
     e = gen.watts_strogatz(1000, degree, synthetic.REWIRE_P, seed=100 + degree)
-    df = ds_mod.edges_to_df(spark, e).cache()
-    df.count()
-    fn = {"HG": hg, "GC": gc, "LP": lp}[algo]
-    kwargs = {} if algo == "HG" else {"budget": common.fresh_budget()}
-    res = benchmark.pedantic(fn, args=(spark, df, k), kwargs=kwargs, rounds=1, iterations=1)
+    res = benchmark.pedantic(heuristic, args=(algo, e, k), rounds=1, iterations=1)
     assert res.size >= 0

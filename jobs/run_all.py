@@ -17,15 +17,15 @@ os.makedirs(RESULTS, exist_ok=True)
 
 def main() -> None:
     phases = sys.argv[1:] or ["t1", "t2", "t4", "t5", "t7", "t8"]
-    spark = None  # Tables VII and VIII run on the driver only
-    if set(phases) - {"t7", "t8"}:
+    spark = None  # Tables I, VII and VIII run on the driver only
+    if set(phases) - {"t1", "t7", "t8"}:
         spark = get_spark("run_all")
         spark.sparkContext.setLogLevel("ERROR")
     from repro.tables import synthetic, table1, table2, table3, table4, table7, table8
 
     t0 = time.time()
     if "t1" in phases:
-        df = table1.run(spark, max_seconds=120.0)
+        df = table1.run(max_seconds=120.0)
         df.to_csv(f"{RESULTS}/table1.csv", index=False)
         print(f"[t1 done {time.time()-t0:.0f}s]", flush=True)
     if "t2" in phases:

@@ -1,22 +1,18 @@
-"""Reproduce Table I (dataset statistics, k-clique counts).
+"""Reproduce Table I (dataset statistics, k-clique counts) on the
+driver; no Spark session is started.
 
 Usage: python jobs/table1_stats.py [dataset ...]
 """
 import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_spark  # noqa: E402
-
-from repro.tables import table1  # noqa: E402
+from repro.tables import table1
 
 
 def main() -> None:
-    spark = get_spark("table1")
     names = sys.argv[1:] or None
-    df = table1.run(spark, names=names)
+    df = table1.run(names=names)
     print("\n=== Table I (reproduced) ===")
     print(df.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """GC — Algorithm 2: greedy over all cliques by ascending clique score.
 
 Materializes every k-clique (that is GC's defining cost — the paper's
-OOM cells, reproduced here via the Budget) with its clique score, then
-selects cliques in ascending ``(s_c(C), member tuple)`` order,
-skipping any clique that intersects an already chosen one.
+OOM cells, reproduced here via the Budget), scores each one from the
+node scores, then selects cliques in ascending ``(s_c(C), member
+tuple)`` order, skipping any clique that intersects an already chosen
+one.
 
-Algorithm 2 is one sequential scan, so selection runs on the driver on
-both backends; Spark ``gc`` fans out only the listing (one task per
-core, :func:`~repro.core.clique_listing.fan_out`) and collects the
-``(members, score)`` rows. The harness budget stops GC at a clique
-count that fits on the driver (``tables.common.DEFAULT_MAX_CLIQUES``)
-before anything is listed.
+Algorithm 2 is one sequential scan, so selection runs on the driver;
+only the listing fans out (:func:`~repro.core.clique_listing.fan_out`),
+on Spark when :func:`solve` is given a session. The budget stops GC at
+a clique count that fits on the driver
+(``tables.common.DEFAULT_MAX_CLIQUES``) before anything is listed.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_listing
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
 
@@ -54,6 +54,18 @@ def greedy_by_score(
 select_distributed = greedy_by_score
 
 
+def solve(
+    prep: Prepared, budget: Budget | None = None, spark: SparkSession | None = None
+) -> GCResult:
+    """Run Algorithm 2: list (on Spark when ``spark`` is given), score
+    and select on the driver."""
+    n_cliques = clique_listing.count_kcliques(prep, budget)  # GC must store all of them
+    scores = prep.scores
+    cliques = clique_listing.list_kcliques(prep, budget, spark)
+    scored = [(sum(map(scores.__getitem__, c)), c) for c in cliques]
+    return GCResult("OK", greedy_by_score(scored), n_cliques=n_cliques)
+
+
 def gc(
     spark: SparkSession,
     edges_df: DataFrame,
@@ -61,29 +73,10 @@ def gc(
     budget: Budget | None = None,
     driver_threshold: int | None = None,  # ignored; perfbench/workloads.py passes it
 ) -> GCResult:
-    """Run Algorithm 2: list on Spark, select on the driver."""
-    try:
-        prep = Prepared(datasets.df_to_edges(edges_df), k)
-        n_cliques = sum(prep.scores.values()) // k
-        if budget is not None:
-            budget.check_count(n_cliques)  # GC must store all of them
-            budget.check_time()
-        rows = clique_listing.list_kcliques(spark, prep, budget=budget).tolist()
-        S = greedy_by_score([(r[-1], tuple(r[:-1])) for r in rows])
-        return GCResult("OK", S, n_cliques=n_cliques)
-    except (SimulatedOOM, SimulatedOOT):
-        raise
-    except Exception as exc:
-        raise translate_spark_error(exc) from exc
+    """:func:`solve` on a Spark edge DataFrame, listing on ``spark``."""
+    return solve(Prepared(datasets.df_to_edges(edges_df), k), budget, spark)
 
 
 def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
-    """Spark-free GC on a canonical edge array — the same preparation,
-    listing orientation and tie-breaks as the Spark path; used by fast
-    unit tests, Theorem-4 checks, and the dynamic module's from-scratch
-    baseline."""
-    prep = Prepared(edges, k)
-    cliques = prep.cliques()
-    scores = prep.scores
-    scored = [(sum(scores.get(v, 0) for v in c), c) for c in cliques]
-    return GCResult("OK", greedy_by_score(scored), n_cliques=len(cliques))
+    """:func:`solve` on the driver on a canonical edge array."""
+    return solve(Prepared(edges, k))

@@ -4,9 +4,9 @@ Process nodes in ascending total order; for each still-valid node with
 enough valid out-neighbours, take the *first* k-clique found among its
 out-neighbourhood (``FindOne``), add it to S, and invalidate its
 members. The main loop is inherently sequential (each selection
-prunes later ones), so both entry points run it on the driver over the
-degree orientation of a :class:`~repro.core.prepare.Prepared`; the
-Spark entry point only collects its edge DataFrame — see DESIGN.md §2.
+prunes later ones), so :func:`solve` runs it on the driver over the
+degree orientation of a :class:`~repro.core.prepare.Prepared` — see
+DESIGN.md §2.
 """
 from __future__ import annotations
 
@@ -29,12 +29,6 @@ class HGResult:
     @property
     def size(self) -> int:
         return len(self.S)
-
-
-def hg(spark: SparkSession, edges_df: DataFrame, k: int) -> HGResult:
-    """Run Algorithm 1 with the degree ordering (larger degree =>
-    larger rank), the variant the paper benchmarks as HG."""
-    return hg_numpy(datasets.df_to_edges(edges_df), k)
 
 
 def hg_driver_from_oriented(
@@ -60,10 +54,19 @@ def hg_driver_from_oriented(
     return HGResult(S, n_inspected=inspected)
 
 
-def hg_numpy(edges: np.ndarray, k: int) -> HGResult:
-    """HG on a canonical numpy edge array — used by :func:`hg`, fast
-    unit tests and the dynamic module's from-scratch comparisons."""
-    prep = Prepared(edges, k)
+def solve(prep: Prepared) -> HGResult:
+    """Run Algorithm 1 with the degree ordering (larger degree =>
+    larger rank), the variant the paper benchmarks as HG."""
     rank = prep.degree_rank
     nodes = np.asarray(sorted(rank, key=rank.__getitem__), dtype=np.int64)
-    return hg_driver_from_oriented(prep.degree_adj, nodes, k)
+    return hg_driver_from_oriented(prep.degree_adj, nodes, prep.k)
+
+
+def hg(spark: SparkSession, edges_df: DataFrame, k: int) -> HGResult:
+    """:func:`solve` on a Spark edge DataFrame."""
+    return solve(Prepared(datasets.df_to_edges(edges_df), k))
+
+
+def hg_numpy(edges: np.ndarray, k: int) -> HGResult:
+    """:func:`solve` on a canonical edge array."""
+    return solve(Prepared(edges, k))

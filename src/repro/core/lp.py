@@ -5,13 +5,12 @@ total clique order to ``(s_c(C), member tuple)`` everywhere) without
 ever storing the full clique set:
 
 1. node scores via counting, then the score-based total ordering and
-   DAG orientation — the driver's :class:`~repro.core.prepare.Prepared`
-   on both backends (the Spark entry point collects its edges first);
+   DAG orientation — the driver's :class:`~repro.core.prepare.Prepared`;
 2. ``HeapInit``: for every source node, ``FindMin`` — the minimum-score
    clique rooted there, with the score-driven pruning strategy (LP) or
-   without (L); one Spark task per core by :func:`lp`
-   (:func:`~repro.core.clique_listing.fan_out`), a driver loop in
-   :func:`lp_driver`;
+   without (L); a driver loop over the sources, or one Spark task per
+   core when :func:`solve` is given a session
+   (:func:`~repro.core.clique_listing.fan_out`);
 3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
@@ -24,12 +23,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_listing, kernels
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 # Unused; kept because perfbench.tracing.LAYERS looks this name up.
 from repro.core.scores import collect_scores  # noqa: F401
@@ -50,51 +50,31 @@ class LPResult:
         return len(self.S)
 
 
-def lp(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
+def solve(
+    prep: Prepared,
     prune: bool = True,
     budget: Budget | None = None,
+    spark: SparkSession | None = None,
 ) -> LPResult:
-    """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
-    try:
-        prep = Prepared(datasets.df_to_edges(edges_df), k)
-        adj, scores = prep.adj, prep.scores
-        if budget is not None:
-            budget.check_time()
-        heap_rows, visited = _heap_init_spark(spark, adj, scores, k, prune, budget)
-    except (SimulatedOOM, SimulatedOOT):
-        raise
-    except Exception as exc:
-        raise translate_spark_error(exc) from exc
-    return _calculation(adj, scores, heap_rows, visited, k, prune)
-
-
-def _heap_init_spark(
-    spark: SparkSession,
-    adj: Oriented,
-    scores: dict[int, int],
-    k: int,
-    prune: bool,
-    budget: Budget | None,
-) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-    """Parallel ``HeapInit`` (Algorithm 3 lines 10-14): :func:`_heap_init`
-    over every slice of the sources, one Spark task per core."""
-    sc = spark.sparkContext
-    bc_adj, bc_scores = sc.broadcast(adj), sc.broadcast(scores)
-    deadline = budget.epoch_deadline if budget is not None else None
+    """Run Algorithm 3 (LP when ``prune``, L otherwise); HeapInit runs on
+    Spark when ``spark`` is given."""
+    k = prep.k
+    adj, scores = prep.adj, prep.scores
+    deadline = None
+    if budget is not None:
+        budget.check_time()
+        deadline = budget.epoch_deadline
     slices = clique_listing.fan_out(
-        spark, adj, k,
-        lambda srcs: _heap_init(bc_adj.value, bc_scores.value, srcs, k, prune, deadline),
+        spark, adj, k, partial(_heap_init, k=k, prune=prune, deadline=deadline), scores
     )
-    return [r for rows, _ in slices for r in rows], sum(v for _, v in slices)
+    heap_rows = [r for rows, _ in slices for r in rows]
+    return _calculation(adj, scores, heap_rows, sum(v for _, v in slices), k, prune)
 
 
 def _heap_init(
+    sources: list[int],
     adj: Oriented,
     scores: dict[int, int],
-    sources: list[int],
     k: int,
     prune: bool,
     deadline: float | None = None,
@@ -148,16 +128,17 @@ def _calculation(
     return LPResult("OK", S, n_heap_init=len(heap_rows), n_recomputes=recomputes, visited=visited)
 
 
+def lp(
+    spark: SparkSession,
+    edges_df: DataFrame,
+    k: int,
+    prune: bool = True,
+    budget: Budget | None = None,
+) -> LPResult:
+    """:func:`solve` on a Spark edge DataFrame, HeapInit on ``spark``."""
+    return solve(Prepared(datasets.df_to_edges(edges_df), k), prune, budget, spark)
+
+
 def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
-    """Spark-free Algorithm 3 on a canonical edge array — the same
-    preparation and tie-breaks as the Spark path. Used by fast unit
-    tests and as the dynamic module's from-scratch baseline."""
-    return lp_driver(Prepared(edges, k), prune)
-
-
-def lp_driver(prep: Prepared, prune: bool = True) -> LPResult:
-    """Algorithm 3 on the driver over a prepared graph: HeapInit as a
-    loop over the sources, then ``Calculation``."""
-    adj, scores = prep.adj, prep.scores
-    heap_rows, visited = _heap_init(adj, scores, adj.sources(prep.k).tolist(), prep.k, prune)
-    return _calculation(adj, scores, heap_rows, visited, prep.k, prune)
+    """:func:`solve` on the driver on a canonical edge array."""
+    return solve(Prepared(edges, k), prune)

@@ -2,12 +2,12 @@
 
 The straightforward pipeline from Section I the paper argues is
 impractical: (i) list all k-cliques, (ii) build the clique graph,
-(iii) exact MIS on it. All three run on the driver over the
-:class:`~repro.core.prepare.Prepared` of the collected edges — exact
-MIS needs the whole clique graph on one machine anyway — under a Budget
-that reproduces the paper's OOM (too many cliques / clique-graph edges)
-and OOT (exact MIS) cells. The MIS vertices are the cliques' sorted
-member tuples, inserted in ascending order.
+(iii) exact MIS on it. All three run on the driver over a
+:class:`~repro.core.prepare.Prepared` — exact MIS needs the whole
+clique graph on one machine anyway — under a Budget that reproduces
+the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
+MIS) cells. The MIS vertices are the cliques' sorted member tuples,
+inserted in ascending order.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core import clique_listing
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
 from repro.core.clique_graph import clique_graph
 from repro.core.mis import exact_mis
@@ -37,14 +38,9 @@ class OptResult:
         return len(self.S)
 
 
-def opt(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    budget: Budget | None = None,
-) -> OptResult:
+def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
-    prep = Prepared(datasets.df_to_edges(edges_df), k)
+    k = prep.k
     if budget is not None:
         budget.check_count(sum(prep.scores.values()) // k)
         # Cheap upper bound on clique-graph edges from node scores:
@@ -57,7 +53,7 @@ def opt(
     # exact_mis numbers the vertices and sweeps its reductions in insertion
     # order, and breaks branch ties by (degree, vertex), so S depends on the
     # insertion order: insert the sorted tuples.
-    adj = clique_graph(sorted(prep.cliques()))
+    adj = clique_graph(sorted(clique_listing.list_kcliques(prep, budget)))
     n_edges = sum(map(len, adj.values())) // 2
     if budget is not None:
         budget.check_count(n_edges)
@@ -69,9 +65,10 @@ def opt(
 def opt_or_status(
     spark: SparkSession, edges_df: DataFrame, k: int, budget: Budget
 ) -> OptResult:
-    """Harness wrapper: convert budget failures into OOM/OOT rows."""
+    """:func:`solve` on a Spark edge DataFrame, with budget failures
+    turned into OOM/OOT results."""
     try:
-        return opt(spark, edges_df, k, budget=budget)
+        return solve(Prepared(datasets.df_to_edges(edges_df), k), budget)
     except SimulatedOOM:
         return OptResult("OOM", [])
     except SimulatedOOT:

@@ -1,16 +1,15 @@
 """Driver-side preparation shared by every algorithm and both backends.
 
-HG, GC, L/LP and OPT, on Spark and on the driver, and the dynamic
-harnesses start from the same sequence on a numpy edge array: degree
-ordering -> DAG orientation -> node scores (Def. 5) -> score ordering
-(Algorithm 3 line 3) -> DAG orientation. The Spark entry points collect
-their edge DataFrame once and build the same ``Prepared``; Spark then
-only fans out the per-source work. ``Prepared(edges, k)`` runs the
-sequence once per (graph, k); each stage is computed on first use, so
-HG, which needs only the degree orientation, never counts, and only
-L/LP reaches the score ordering and its orientation (``rank``,
-``adj``): clique listing emits sorted member tuples, so GC and OPT list
-on the degree orientation.
+HG, GC, L/LP, OPT, Table I's count and the dynamic harnesses take a
+``Prepared`` and start from the same sequence on a numpy edge array:
+degree ordering -> DAG orientation -> node scores (Def. 5) -> score
+ordering (Algorithm 3 line 3) -> DAG orientation. Spark, when given,
+only fans out the per-source work over these tables.
+``Prepared(edges, k)`` runs the sequence once per (graph, k); each
+stage is computed on first use, so HG, which needs only the degree
+orientation, never counts, and only L/LP reaches the score ordering and
+its orientation (``rank``, ``adj``): clique listing emits sorted member
+tuples, so GC and OPT list on the degree orientation.
 
 Each orientation is one :class:`~repro.graphs.adjacency.Oriented`
 table: out-neighbour CSR plus the orientation's triangles as a second
@@ -51,14 +50,6 @@ class Prepared:
         for u in adj.sources(self.k).tolist():
             kernels.count_from_source(adj, u, self.k, counts)
         return counts
-
-    def cliques(self) -> list[tuple[int, ...]]:
-        """Every k-clique as its sorted member tuple, listed once on the
-        degree orientation (GC and OPT on the driver)."""
-        adj, out = self.degree_adj, []
-        for u in adj.sources(self.k).tolist():
-            kernels.enumerate_from_source(adj, u, self.k, out=out)
-        return out
 
     @cached_property
     def rank(self) -> dict[int, int]:

@@ -4,10 +4,10 @@
 ``sum_{u in C} s_n(u)``. The clique score approximates the clique's
 degree in the clique graph (Theorem 2), which drives the selection
 order in Algorithms 2 and 3. Node scores are counted once per (graph, k)
-by :class:`repro.core.prepare.Prepared`; Spark clique listing attaches
-``s_c`` to every clique it emits. The fixed total clique order
-``(s_c(C), member tuple)`` is a plain Python tuple comparison: every
-selection by it runs on the driver.
+by :class:`repro.core.prepare.Prepared`, and GC and LP sum them into
+``s_c`` on the driver; the fixed total clique order ``(s_c(C), member
+tuple)`` is a plain Python tuple comparison. This module holds only
+:func:`collect_scores`, which nothing calls.
 """
 from __future__ import annotations
 

@@ -88,7 +88,7 @@ def from_edges(
 ) -> DynamicState:
     """Build a state from an edge array and an initial solution
     (normally LP's output). Candidate index starts empty — call
-    ``repro.dynamic.index.build_index`` (or the Spark variant)."""
+    ``repro.dynamic.index.build_index``."""
     st = DynamicState(k=k, adj=adj_mod.adj_sets(edges), scores=dict(scores or {}))
     for c in S:
         st.add_to_S(c)

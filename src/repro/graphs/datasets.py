@@ -145,11 +145,6 @@ def edges(name: str) -> np.ndarray:
     return spec.make()
 
 
-def spark_edges(spark: SparkSession, name: str) -> DataFrame:
-    """Dataset as a Spark ``(src, dst)`` DataFrame (canonical u < v)."""
-    return edges_to_df(spark, edges(name))
-
-
 def edges_to_df(spark: SparkSession, e: np.ndarray) -> DataFrame:
     """Wrap a canonical numpy edge array as a Spark DataFrame."""
     pdf = pd.DataFrame({"src": e[:, 0].astype("int64"), "dst": e[:, 1].astype("int64")})

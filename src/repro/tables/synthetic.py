@@ -9,16 +9,14 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.gc import gc
-from repro.core.hg import hg
-from repro.core.lp import lp
-from repro.graphs import datasets as ds_mod
 from repro.graphs import generators as gen
 from repro.tables import common
 
 DEFAULT_N = 4000
 DEFAULT_DEGREES = (8, 16, 32, 64)
 REWIRE_P = 0.3
+COLUMNS = ["Degree", "n", "m", "k", "HG", "t_HG(s)", "GC", "t_GC(s)", "GC_delta",
+           "LP", "t_LP(s)", "LP_delta"]
 
 
 def run(
@@ -32,25 +30,14 @@ def run(
     rows = []
     for deg in degrees:
         e = gen.watts_strogatz(n, deg, REWIRE_P, seed=100 + deg)
-        df = ds_mod.edges_to_df(spark, e)
         for k in ks:
             row: dict = {"Degree": deg, "n": n, "m": len(e), "k": k}
-            st, out, secs = common.run_cell(hg, spark, df, k)
-            row["HG"], row["t_HG(s)"] = common.cell(st, getattr(out, "size", None)), round(secs, 2)
-            hg_size = out.size if st == "OK" else None
-            st, out, secs = common.run_cell(
-                gc, spark, df, k, budget=common.fresh_budget(max_cliques, max_seconds)
+            row.update(
+                common.heuristic_cells(spark, e, k, ("HG", "GC", "LP"), max_cliques, max_seconds)
             )
-            row["GC"], row["t_GC(s)"] = common.cell(st, getattr(out, "size", None)), round(secs, 2)
-            row["GC_delta"] = out.size - hg_size if st == "OK" and hg_size is not None else None
-            st, out, secs = common.run_cell(
-                lp, spark, df, k, budget=common.fresh_budget(max_cliques, max_seconds)
-            )
-            row["LP"], row["t_LP(s)"] = common.cell(st, getattr(out, "size", None)), round(secs, 2)
-            row["LP_delta"] = out.size - hg_size if st == "OK" and hg_size is not None else None
             rows.append(row)
-            print(pd.DataFrame([row]).to_string(index=False))
-    return pd.DataFrame(rows)
+            print(pd.DataFrame([row], columns=COLUMNS).to_string(index=False))
+    return pd.DataFrame(rows, columns=COLUMNS)
 
 
 def table5(df: pd.DataFrame) -> pd.DataFrame:

@@ -1,16 +1,16 @@
-"""Table I: dataset statistics — n, m, number of k-cliques, k=3..6."""
+"""Table I: dataset statistics — n, m, number of k-cliques, k=3..6,
+counted on the driver (no SparkSession)."""
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core import clique_listing
+from repro.core.prepare import Prepared
 from repro.graphs import datasets
 from repro.tables import common
 
 
 def run(
-    spark: SparkSession,
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     max_cliques: int = common.DEFAULT_MAX_CLIQUES,
@@ -20,7 +20,6 @@ def run(
     rows = []
     for name in names:
         e = datasets.edges(name)
-        df = datasets.edges_to_df(spark, e)
         spec = datasets.DATASETS[name]
         row = {
             "Name": name,
@@ -31,10 +30,9 @@ def run(
             "paper_m": spec.paper_m,
         }
         for k in ks:
+            budget = common.fresh_budget(max_cliques, max_seconds)
             status, out, secs = common.run_cell(
-                clique_listing.count_kcliques,
-                spark, df, k,
-                budget=common.fresh_budget(max_cliques, max_seconds),
+                lambda: clique_listing.count_kcliques(Prepared(e, k), budget)
             )
             row[f"k={k}"] = common.cell(status, out)
             row[f"t{k}(s)"] = round(secs, 2)

@@ -9,10 +9,8 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.gc import gc
-from repro.core.hg import hg
-from repro.core.lp import lp
-from repro.core.opt import opt
+from repro.core import opt
+from repro.core.prepare import Prepared
 from repro.graphs import datasets
 from repro.tables import common
 
@@ -31,40 +29,12 @@ def run(
     rows = []
     for name in names:
         e = datasets.edges(name)
-        df = datasets.edges_to_df(spark, e)
         for k in ks:
             row: dict = {"Name": name, "k": k, "n": int(e.max()) + 1, "m": len(e)}
-            hg_size = None
-            if "HG" in algos:
-                st, out, secs = common.run_cell(hg, spark, df, k)
-                hg_size = out.size if st == "OK" else None
-                row["HG"] = common.cell(st, getattr(out, "size", None))
-                row["t_HG(s)"] = round(secs, 2)
-            if "GC" in algos:
-                st, out, secs = common.run_cell(
-                    gc, spark, df, k, budget=common.fresh_budget(max_cliques, max_seconds)
-                )
-                row["GC"] = common.cell(st, getattr(out, "size", None))
-                row["GC_delta"] = (
-                    out.size - hg_size if st == "OK" and hg_size is not None else None
-                )
-                row["t_GC(s)"] = round(secs, 2)
-                row["GC_n_cliques"] = out.n_cliques if st == "OK" else None
-            if "LP" in algos:
-                st, out, secs = common.run_cell(
-                    lp, spark, df, k, budget=common.fresh_budget(max_cliques, max_seconds)
-                )
-                row["LP"] = common.cell(st, getattr(out, "size", None))
-                row["LP_delta"] = (
-                    out.size - hg_size if st == "OK" and hg_size is not None else None
-                )
-                row["t_LP(s)"] = round(secs, 2)
-                row["LP_heap"] = out.n_heap_init if st == "OK" else None
+            row.update(common.heuristic_cells(spark, e, k, algos, max_cliques, max_seconds))
             if "OPT" in algos:
-                st, out, secs = common.run_cell(
-                    opt, spark, df, k,
-                    budget=common.fresh_budget(max_cliques, opt_max_seconds),
-                )
+                budget = common.fresh_budget(max_cliques, opt_max_seconds)
+                st, out, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))
                 row["OPT"] = common.cell(st, getattr(out, "size", None))
                 row["t_OPT(s)"] = round(secs, 2)
             rows.append(row)

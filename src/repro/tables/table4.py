@@ -4,8 +4,8 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.lp import lp
-from repro.core.opt import opt
+from repro.core import lp, opt
+from repro.core.prepare import Prepared
 from repro.graphs import datasets
 from repro.tables import common
 
@@ -21,15 +21,12 @@ def run(
     rows = []
     for name in names:
         e = datasets.edges(name)
-        df = datasets.edges_to_df(spark, e)
         for k in ks:
             row = {"Dataset": name, "n": int(e.max()) + 1, "m": len(e), "k": k}
-            _, lp_res, _ = common.run_cell(lp, spark, df, k)
+            lp_res = lp.solve(Prepared(e, k), spark=spark)
             row["LP"] = lp_res.size
-            st, opt_res, secs = common.run_cell(
-                opt, spark, df, k,
-                budget=common.fresh_budget(opt_max_cliques, opt_max_seconds),
-            )
+            budget = common.fresh_budget(opt_max_cliques, opt_max_seconds)
+            st, opt_res, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))
             row["OPT"] = common.cell(st, getattr(opt_res, "size", None))
             row["t_OPT(s)"] = round(secs, 2)
             if st == "OK" and opt_res.size > 0:

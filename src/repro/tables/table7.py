@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.core.lp import lp_driver
+from repro.core import lp
 from repro.core.prepare import Prepared
 from repro.dynamic import index as idx_mod
 from repro.dynamic import state as st_mod
@@ -22,7 +22,7 @@ def build_state(e: np.ndarray, k: int) -> st_mod.DynamicState:
     """LP from scratch + node scores -> a DynamicState ready for
     indexing (shared by Table VII/VIII harnesses and benchmarks)."""
     prep = Prepared(e, k)
-    S, scores = lp_driver(prep).S, prep.scores
+    S, scores = lp.solve(prep).S, prep.scores
     del prep  # free its adjacencies before the state builds its own
     return st_mod.from_edges(e, k, S, scores)
 

@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.core.lp import lp_numpy
+from repro.core import lp
+from repro.core.prepare import Prepared
 from repro.dynamic import index as idx_mod
 from repro.dynamic import updates as upd
 from repro.graphs import datasets
@@ -75,12 +76,12 @@ def run(
 
             st = _indexed_state(e, k)
             lat = _apply(st, [("del", u, v) for u, v in A])
-            row["del_delta"] = len(st.S) - lp_numpy(e_minus_a, k).size
+            row["del_delta"] = len(st.S) - lp.solve(Prepared(e_minus_a, k)).size
             row["del_us"] = round(lat * 1e6, 1)
 
             st = _indexed_state(e_minus_a, k)
             lat = _apply(st, [("ins", u, v) for u, v in A])
-            row["ins_delta"] = len(st.S) - lp_numpy(e, k).size
+            row["ins_delta"] = len(st.S) - lp.solve(Prepared(e, k)).size
             row["ins_us"] = round(lat * 1e6, 1)
 
             st = _indexed_state(e_minus_b, k)
@@ -89,7 +90,7 @@ def run(
             ]
             perm = np.random.default_rng(seed + 1).permutation(len(ops))
             lat = _apply(st, [ops[i] for i in perm])
-            row["mix_delta"] = len(st.S) - lp_numpy(_minus(e, A), k).size
+            row["mix_delta"] = len(st.S) - lp.solve(Prepared(_minus(e, A), k)).size
             row["mix_us"] = round(lat * 1e6, 1)
             rows.append(row)
             print(pd.DataFrame([row]).to_string(index=False))

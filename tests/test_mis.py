@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.budgets import Budget, SimulatedOOT
+from repro.core.clique_listing import list_kcliques
 from repro.core.clique_graph import clique_graph
 from repro.core.lp import lp_numpy
 from repro.core.mis import exact_mis
@@ -109,7 +110,7 @@ def test_exact_mis_equals_reference_tuple_keys(seed):
 @pytest.mark.parametrize("kind", ["pp", "plc", "er"])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_exact_mis_equals_reference_on_clique_graphs(seed, kind, k):
-    cg = clique_graph(sorted(Prepared(random_graph(seed, 20, kind), k).cliques()))
+    cg = clique_graph(sorted(list_kcliques(Prepared(random_graph(seed, 20, kind), k))))
     assert exact_mis(cg) == ref_exact_mis(cg)
 
 
@@ -128,7 +129,7 @@ class _TripBudget(Budget):
 
 
 def test_exact_mis_budget_trips_deep_in_search():
-    cg = clique_graph(sorted(Prepared(random_graph(0, 20, "pp"), 3).cliques()))
+    cg = clique_graph(sorted(list_kcliques(Prepared(random_graph(0, 20, "pp"), 3))))
     counted = _TripBudget()
     want = exact_mis(cg, budget=counted)
     assert counted.calls > 100  # one call per search node
@@ -143,7 +144,7 @@ def test_exact_mis_budget_trips_deep_in_search():
 def test_exact_mis_finishes_table4_cells(name, k, size):
     """Table IV cells the dict-of-sets solver left OOT under 30 s."""
     e = datasets.edges(name)
-    S = exact_mis(clique_graph(sorted(Prepared(e, k).cliques())), Budget(max_seconds=30))
+    S = exact_mis(clique_graph(sorted(list_kcliques(Prepared(e, k)))), Budget(max_seconds=30))
     assert len(S) == size
     assert all(not set(a) & set(b) for a, b in itertools.combinations(S, 2))
     assert len(S) >= lp_numpy(e, k).size

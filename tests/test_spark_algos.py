@@ -6,13 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import clique_listing, validate
+from repro.core import clique_listing, opt, validate
+from repro.core import gc as gc_mod
+from repro.core import lp as lp_mod
 from repro.core.clique_graph import clique_graph
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
 from repro.core.gc import gc, gc_numpy
 from repro.core.hg import hg, hg_numpy
 from repro.core.lp import lp, lp_numpy
-from repro.core.opt import opt, opt_or_status
+from repro.core.opt import opt_or_status
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
@@ -79,7 +81,7 @@ def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     want = gc_numpy(e, 3).S
     assert want == [tuple(range(9_999_999_998, 10_000_000_001))]
     assert gc(spark, df, 3, driver_threshold=0).S == want
-    assert opt(spark, df, 3).S == want
+    assert opt.solve(Prepared(e, 3)).S == want
     for prune in (True, False):
         assert lp_numpy(e, 3, prune).S == want
         assert lp(spark, df, 3, prune=prune).S == want
@@ -93,10 +95,11 @@ def test_lp_without_prune_same_result(spark, ftb):
     assert sorted(lp(spark, df, 3, prune=False).S) == sorted(lp_numpy(e, 3).S)
 
 
-def test_gc_budget_oom(spark, ftb):
-    _, df = ftb
+@pytest.mark.parametrize("on_spark", [True, False], ids=["spark", "driver"])
+def test_gc_budget_oom(spark, ftb, on_spark):
+    e, _ = ftb
     with pytest.raises(SimulatedOOM):
-        gc(spark, df, 3, budget=Budget(max_cliques=5))
+        gc_mod.solve(Prepared(e, 3), Budget(max_cliques=5), spark if on_spark else None)
 
 
 def test_lp_budget_oot(spark, ftb):
@@ -105,14 +108,24 @@ def test_lp_budget_oot(spark, ftb):
         lp(spark, df, 3, budget=Budget(max_seconds=-1.0))
 
 
-@pytest.mark.parametrize("algo", [gc, opt, clique_listing.count_kcliques],
-                         ids=["gc", "opt", "count_kcliques"])
+@pytest.mark.parametrize(
+    "algo",
+    [
+        lambda prep, budget, spark: gc_mod.solve(prep, budget, spark),
+        lambda prep, budget, spark: opt.solve(prep, budget),
+        lambda prep, budget, spark: clique_listing.count_kcliques(prep, budget),
+        lambda prep, budget, spark: gc_mod.solve(prep, budget),
+        lambda prep, budget, spark: lp_mod.solve(prep, budget=budget),
+    ],
+    ids=["gc", "opt", "count_kcliques", "gc-driver", "lp-driver"],
+)
 def test_budget_oot_after_driver_count(spark, ftb, algo):
     """The count runs on the driver without a deadline; the time budget
-    still fires before any clique is listed."""
-    _, df = ftb
+    still fires before any clique is listed, also when GC's listing and
+    LP's HeapInit run on the driver."""
+    e, _ = ftb
     with pytest.raises(SimulatedOOT):
-        algo(spark, df, 3, budget=Budget(max_seconds=-1.0))
+        algo(Prepared(e, 3), Budget(max_seconds=-1.0), spark)
 
 
 class _ExecutorDeadline(Budget):
@@ -146,9 +159,13 @@ def test_budget_oot_inside_spark_tasks(spark, ftb, algo):
     ids=["no_sources", "fewer_sources_than_cores"],
 )
 def test_fan_out_edge_cases_equal_numpy(spark, edges, k, n_sources):
-    slices = clique_listing.fan_out(spark, Prepared(edges, k).degree_adj, k, len)
+    adj = Prepared(edges, k).degree_adj
+    slices = clique_listing.fan_out(spark, adj, k, lambda srcs, adj: len(srcs))
     assert len(slices) == spark.sparkContext.defaultParallelism
     assert sum(slices) == n_sources
+    # Without a session: one slice, every source, on the driver.
+    slices = clique_listing.fan_out(None, adj, k, lambda srcs, adj: srcs)
+    assert slices == [adj.sources(k).tolist()] and len(slices[0]) == n_sources
     df = datasets.edges_to_df(spark, edges)
     got, want = lp(spark, df, k), lp_numpy(edges, k)
     assert (got.S, got.visited, got.n_heap_init) == (want.S, want.visited, want.n_heap_init)
@@ -162,24 +179,22 @@ def test_fan_out_deals_sources_evenly(spark):
     # Leaves 2..20001 ranked above the two hubs: out-degree 2 each.
     edges = np.array([(h, v) for v in range(2, 20_002) for h in (0, 1)], dtype=np.int64)
     adj = adj_mod.orient_by_rank(edges, {v: v for v in range(20_002)})
-    sizes = clique_listing.fan_out(spark, adj, 3, len)
+    sizes = clique_listing.fan_out(spark, adj, 3, lambda srcs, adj: len(srcs))
     assert sum(sizes) == 20_000 and max(sizes) - min(sizes) <= 1
 
 
-def test_opt_fig2_is_maximum(spark):
+def test_opt_fig2_is_maximum():
     e = paper_fig2_edges()
-    df = datasets.edges_to_df(spark, e)
-    res = opt(spark, df, 3)
+    res = opt.solve(Prepared(e, 3))
     assert res.status == "OK"
     assert res.size == 3 == validate.brute_force_max_disjoint(e, 3)
     validate.assert_valid_solution(e, 3, res.S)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_opt_matches_bruteforce_optimum(spark, seed):
+def test_opt_matches_bruteforce_optimum(seed):
     e = random_graph(seed, 22, "pp")
-    df = datasets.edges_to_df(spark, e)
-    res = opt(spark, df, 3, budget=Budget(max_seconds=120))
+    res = opt.solve(Prepared(e, 3), Budget(max_seconds=120))
     assert res.status == "OK"
     assert res.size == validate.brute_force_max_disjoint(e, 3)
     validate.assert_valid_solution(e, 3, res.S)
@@ -191,10 +206,9 @@ def test_opt_or_status_oom(spark, ftb):
     assert res.status == "OOM" and res.S == []
 
 
-def test_opt_not_smaller_than_heuristics(spark):
+def test_opt_not_smaller_than_heuristics():
     e = random_graph(3, 20, "pp")
-    df = datasets.edges_to_df(spark, e)
-    res = opt(spark, df, 3)
+    res = opt.solve(Prepared(e, 3))
     assert res.size >= lp_numpy(e, 3).size
     assert res.size >= hg_numpy(e, 3).size
 
@@ -202,7 +216,7 @@ def test_opt_not_smaller_than_heuristics(spark):
 def test_clique_graph_fig2():
     """Fig. 3: the clique graph of the running example has 7 nodes;
     C1 has degree 2."""
-    cg = clique_graph(sorted(Prepared(paper_fig2_edges(), 3).cliques()))
+    cg = clique_graph(sorted(clique_listing.list_kcliques(Prepared(paper_fig2_edges(), 3))))
     assert len(cg) == 7
     c1 = (1, 3, 6)
     assert len(cg[c1]) == 2
@@ -211,16 +225,17 @@ def test_clique_graph_fig2():
     assert c2 in cg[c1] and c1 in cg[c2]
 
 
-def test_clique_scores_spark_match_driver(spark, ftb):
+def test_clique_scores_spark_match_driver(spark, ftb, monkeypatch):
+    """GC on Spark scores every clique once, with s_c = the sum of the
+    driver's node scores (``Prepared.scores``) over its members."""
     e, _ = ftb
     k = 3
-    scored = clique_listing.list_kcliques(spark, Prepared(e, k))
-    from repro.core import kernels
-
-    rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, rank)
-    counts: dict[int, int] = {}
-    for u in range(adj.n):
-        kernels.count_from_source(adj, u, k, counts)
-    for *members, score in scored.tolist():
-        assert score == sum(counts[v] for v in members)
+    scored = []
+    select = gc_mod.greedy_by_score
+    monkeypatch.setattr(gc_mod, "greedy_by_score", lambda rows: select(scored.extend(rows) or rows))
+    gc_mod.solve(Prepared(e, k), spark=spark)
+    scores = Prepared(e, k).scores
+    assert {c for _, c in scored} == validate.brute_force_all_kcliques(e, k)
+    assert len(scored) == len({c for _, c in scored})
+    for score, members in scored:
+        assert score == sum(scores[v] for v in members)

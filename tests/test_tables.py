@@ -7,16 +7,16 @@ import pytest
 from repro.tables import common, synthetic, table1, table2, table3, table4, table7, table8
 
 
-def test_table1_rows(spark):
-    df = table1.run(spark, names=["FTB"], ks=(3, 4))
+def test_table1_rows():
+    df = table1.run(names=["FTB"], ks=(3, 4))
     assert list(df["Name"]) == ["FTB"]
     row = df.iloc[0]
     assert row["n"] == 115 and int(row["k=3"]) > 0
     assert int(row["k=3"]) > int(row["k=4"])  # FTB: triangles dominate
 
 
-def test_table1_budget_produces_oot(spark):
-    df = table1.run(spark, names=["FTB"], ks=(3,), max_seconds=-1.0)
+def test_table1_budget_produces_oot():
+    df = table1.run(names=["FTB"], ks=(3,), max_seconds=-1.0)
     assert df.iloc[0]["k=3"] == "OOT"
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels, validate
 from repro.core.clique_graph import clique_graph
+from repro.core.clique_listing import list_kcliques
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import generators as gen
@@ -56,7 +57,7 @@ def test_clique_graph_equals_definition(seed, kind, k):
     e = random_graph(seed, 30, kind)
     cliques = sorted(validate.brute_force_all_kcliques(e, k))
     want = {c: {d for d in cliques if d != c and set(c) & set(d)} for c in cliques}
-    got = clique_graph(sorted(Prepared(e, k).cliques()))
+    got = clique_graph(sorted(list_kcliques(Prepared(e, k))))
     assert got == want
     assert list(got) == cliques
 
