@@ -33,12 +33,18 @@ class Budget:
 
     ``max_cliques`` guards memory-style blow-ups (count of k-cliques an
     algorithm must hold at once); ``max_seconds`` guards time-style
-    blow-ups. ``started`` is stamped at construction.
+    blow-ups. ``deadline``, set at construction, is the epoch time at
+    which ``max_seconds`` run out: a budget shipped to Spark tasks checks
+    the same clock there as on the driver.
     """
 
     max_cliques: int | None = None
     max_seconds: float | None = None
-    started: float = field(default_factory=time.monotonic)
+    deadline: float | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.max_seconds is not None:
+            self.deadline = time.time() + self.max_seconds
 
     def check_count(self, count: int) -> None:
         if self.max_cliques is not None and count > self.max_cliques:
@@ -47,17 +53,10 @@ class Budget:
             )
 
     def check_time(self) -> None:
-        if self.max_seconds is not None and time.monotonic() - self.started > self.max_seconds:
+        if self.deadline is not None and time.time() > self.deadline:
             raise SimulatedOOT(
                 f"{OOT_MARKER}: exceeded {self.max_seconds}s budget"
             )
-
-    @property
-    def epoch_deadline(self) -> float | None:
-        if self.max_seconds is None:
-            return None
-        elapsed = time.monotonic() - self.started
-        return time.time() + max(0.0, self.max_seconds - elapsed)
 
 
 def translate_spark_error(exc: Exception) -> Exception:

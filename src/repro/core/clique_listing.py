@@ -7,6 +7,8 @@
 - :func:`list_kcliques` — GC's and OPT's listing: the per-source kClist
   recursion over the degree orientation of a
   :class:`~repro.core.prepare.Prepared`, fanned out by :func:`fan_out`.
+  Like the kernels it works on dense positions, so the cliques come
+  back as position tuples; ``Prepared.to_ids`` maps them to node ids.
 
 - :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
   node scores (``Prepared.scores``): counting never materializes
@@ -64,16 +66,19 @@ def fan_out(
 def list_kcliques(
     prep: Prepared, budget: Budget | None = None, spark: SparkSession | None = None
 ) -> list[tuple[int, ...]]:
-    """Every k-clique as its member tuple in ascending node id (the
-    canonical clique identity), listed once, from its highest-ordering
-    member of the degree orientation; on Spark when ``spark`` is given."""
+    """Every k-clique as its member positions in ascending order (the
+    canonical clique identity; ``prep.to_ids`` gives the node ids),
+    listed once, from its highest-ordering member of the degree
+    orientation; on Spark when ``spark`` is given, the budget checked
+    once per source in the tasks too."""
     k = prep.k
-    deadline = budget.epoch_deadline if budget is not None else None
+    budget = budget or Budget()
 
     def run_slice(srcs: list[int], adj: Oriented) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
         for src in srcs:
-            kernels.enumerate_from_source(adj, src, k, out=out, deadline=deadline)
+            budget.check_time()
+            kernels.enumerate_from_source(adj, src, k, out=out)
         return out
 
     return [c for part in fan_out(spark, prep.degree_adj, k, run_slice) for c in part]
@@ -83,7 +88,7 @@ def count_kcliques(prep: Prepared, budget: Budget | None = None) -> int:
     """Total number of k-cliques: sum of node scores divided by k
     (every clique contributes once per member)."""
     k = prep.k
-    total = sum(prep.scores.values())
+    total = int(prep.scores.sum())
     assert total % k == 0, "sum of node scores must be divisible by k"
     n = total // k
     if budget is not None:

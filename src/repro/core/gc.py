@@ -60,10 +60,10 @@ def solve(
     """Run Algorithm 2: list (on Spark when ``spark`` is given), score
     and select on the driver."""
     n_cliques = clique_listing.count_kcliques(prep, budget)  # GC must store all of them
-    scores = prep.scores
+    scores = prep.scores.tolist()
     cliques = clique_listing.list_kcliques(prep, budget, spark)
     scored = [(sum(map(scores.__getitem__, c)), c) for c in cliques]
-    return GCResult("OK", greedy_by_score(scored), n_cliques=n_cliques)
+    return GCResult("OK", prep.to_ids(greedy_by_score(scored)), n_cliques=n_cliques)
 
 
 def gc(

@@ -31,35 +31,33 @@ class HGResult:
         return len(self.S)
 
 
-def hg_driver_from_oriented(
-    adj: Oriented, nodes_in_order: np.ndarray, k: int
-) -> HGResult:
-    """Driver loop of Algorithm 1 over a prepared oriented table.
+def hg_driver_from_oriented(adj: Oriented, order: np.ndarray, k: int) -> HGResult:
+    """Driver loop of Algorithm 1 over a prepared oriented table, with S
+    as position tuples.
 
-    ``nodes_in_order`` holds node ids ascending in the same total order
-    used to orient ``adj``; validity masking (over dense positions)
-    implements node removal.
+    ``order`` holds the positions ascending in the same total order used
+    to orient ``adj``; validity masking implements node removal.
     """
     valid = np.ones(adj.n, dtype=bool)
     S: list[tuple[int, ...]] = []
     inspected = 0
-    for u in adj.pos(nodes_in_order).tolist():
+    for u in order.tolist():
         if not valid[u]:
             continue
         inspected += 1
         clique = kernels.find_first_clique(adj, u, k, valid)
         if clique is not None:
             S.append(clique)
-            valid[adj.pos(clique)] = False
+            valid[list(clique)] = False
     return HGResult(S, n_inspected=inspected)
 
 
 def solve(prep: Prepared) -> HGResult:
     """Run Algorithm 1 with the degree ordering (larger degree =>
     larger rank), the variant the paper benchmarks as HG."""
-    rank = prep.degree_rank
-    nodes = np.asarray(sorted(rank, key=rank.__getitem__), dtype=np.int64)
-    return hg_driver_from_oriented(prep.degree_adj, nodes, prep.k)
+    res = hg_driver_from_oriented(prep.degree_adj, np.argsort(prep.degree_rank), prep.k)
+    res.S = prep.to_ids(res.S)
+    return res
 
 
 def hg(spark: SparkSession, edges_df: DataFrame, k: int) -> HGResult:

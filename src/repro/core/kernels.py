@@ -13,11 +13,15 @@ table. Its nodes sit at dense positions, in ascending id; the
 out-neighbours of each in the DAG orientation (``eta(u) > eta(v)``)
 form one CSR, so each k-clique is enumerated exactly once from its
 highest-``eta`` member (the standard kClist scheme the paper builds
-on); the orientation's triangles form a second per-source CSR. A
-``source`` is a dense position, and cliques come back as tuples of node
-ids. ``valid`` is an optional boolean mask over dense positions: nodes
-already placed in S are masked out, which is how the framework
-"removes" chosen cliques without rebuilding the graph.
+on); the orientation's triangles form a second per-source CSR. The
+oriented kernels know nodes only by dense position (kClist relabels the
+nodes 0..n-1 once the same way): a ``source`` is a position, cliques
+come back as sorted tuples of positions, node scores and counts are
+lists indexed by position, and ``valid`` is an optional boolean mask
+over positions. Nodes already placed in S are masked out, which is how
+the framework "removes" chosen cliques without rebuilding the graph.
+Positions rise with node id, so every order below is also the order of
+ids; the caller maps the cliques it keeps to ids.
 
 Per source ``u``, the four oriented kernels share one local subgraph
 (kClist's, Danisch et al., WWW 2018): the out-neighbours N+(u), in
@@ -38,11 +42,8 @@ the required nodes inside an allowed set, oriented by id.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.budgets import OOT_MARKER, SimulatedOOT
 from repro.graphs.adjacency import Oriented
 
 
@@ -79,36 +80,29 @@ def _local(adj, source, valid, need, undirected=False):
     return nb, masks, cand
 
 
-def _check_deadline(deadline: float | None, what: str) -> None:
-    if deadline is not None and time.time() > deadline:
-        raise SimulatedOOT(f"{OOT_MARKER}: {what} deadline exceeded")
-
-
 def enumerate_from_source(
     adj: Oriented,
     source: int,
     k: int,
     valid: np.ndarray | None = None,
     out: list | None = None,
-    deadline: float | None = None,
 ) -> list[tuple[int, ...]]:
     """All k-cliques whose highest-``eta`` member is ``source``.
 
-    Returns member tuples sorted by node id (the canonical clique
-    identity used everywhere for tie-breaking and equality).
+    Returns member tuples sorted by position, i.e. by node id (the
+    canonical clique identity used everywhere for tie-breaking and
+    equality).
     """
     if out is None:
         out = []
     loc = _local(adj, source, valid, k - 1)
     if loc is not None:
         nb, masks, cand = loc
-        prefix = (int(adj.nodes[source]),)
-        _enum_rec(adj.nodes[nb].tolist(), masks, cand, k - 1, prefix, out, deadline)
+        _enum_rec(nb.tolist(), masks, cand, k - 1, (source,), out)
     return out
 
 
-def _enum_rec(ids, masks, cand, need, prefix, out, deadline):
-    _check_deadline(deadline, "enumeration")
+def _enum_rec(ids, masks, cand, need, prefix, out):
     rest = cand
     if need == 1:
         while rest:
@@ -122,18 +116,19 @@ def _enum_rec(ids, masks, cand, need, prefix, out, deadline):
         i = low.bit_length() - 1
         nxt = cand & masks[i]
         if nxt.bit_count() >= need - 1:
-            _enum_rec(ids, masks, nxt, need - 1, prefix + (ids[i],), out, deadline)
+            _enum_rec(ids, masks, nxt, need - 1, prefix + (ids[i],), out)
 
 
 def count_from_source(
     adj: Oriented,
     source: int,
     k: int,
-    counts: dict[int, int],
+    counts: list[int],
 ) -> None:
-    """Accumulate per-node k-clique membership counts (node scores,
-    Def. 5) for all cliques rooted at ``source`` — without storing any
-    clique, which is the whole point of Algorithm 3 line 2.
+    """Add the k-clique membership counts (node scores, Def. 5) of all
+    cliques rooted at ``source`` into ``counts``, indexed by position —
+    without storing any clique, which is the whole point of Algorithm 3
+    line 2.
 
     Counting needs no particular order, so the local subgraph is taken
     undirected and each (k-1)-clique of it is reached once, from its
@@ -147,13 +142,9 @@ def count_from_source(
         return
     nb, masks, cand = loc
     local = [0] * len(masks)
-    total = _count_rec(masks, cand, k - 1, local)
-    if total:
-        u = int(adj.nodes[source])
-        counts[u] = counts.get(u, 0) + total
-        for u, c in zip(adj.nodes[nb].tolist(), local):
-            if c:
-                counts[u] = counts.get(u, 0) + c
+    counts[source] += _count_rec(masks, cand, k - 1, local)
+    for p, c in zip(nb.tolist(), local):
+        counts[p] += c
 
 
 def _count_rec(masks, cand, need, local):
@@ -197,7 +188,7 @@ def find_first_clique(
     if loc is None:
         return None
     nb, masks, cand = loc
-    got = _first_rec(adj.nodes[nb].tolist(), masks, cand, k - 1, (int(adj.nodes[source]),))
+    got = _first_rec(nb.tolist(), masks, cand, k - 1, (source,))
     return tuple(sorted(got)) if got is not None else None
 
 
@@ -221,7 +212,7 @@ def _first_rec(ids, masks, cand, need, prefix):
 
 def find_min_clique(
     adj: Oriented,
-    scores: dict[int, int],
+    scores: list[int],
     source: int,
     k: int,
     valid: np.ndarray | None = None,
@@ -229,7 +220,8 @@ def find_min_clique(
     stats: dict | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Algorithm 3's ``FindMin``: the minimum-clique-score k-clique
-    rooted at ``source``, with the score-driven pruning strategy.
+    rooted at ``source``, with the score-driven pruning strategy;
+    ``scores[p]`` is the node score of position ``p``.
 
     Total clique order is ``(s_c(C), sorted member tuple)`` — the fixed
     tie-break that makes Theorem 4 hold exactly (GC and L/LP return the
@@ -245,16 +237,16 @@ def find_min_clique(
     if loc is None:
         return None
     nb, masks, cand = loc
-    ids = adj.nodes[nb].tolist()
-    local_scores = [scores.get(v, 0) for v in ids]
-    u = int(adj.nodes[source])
+    ids = nb.tolist()
+    local_scores = [scores[p] for p in ids]
     best: list = [None, None]  # [score, members]
-    visited = _min_rec(ids, masks, local_scores, cand, k - 1, (u,), scores.get(u, 0), best, prune)
+    visited = _min_rec(ids, masks, local_scores, cand, k - 1, (source,), scores[source], best,
+                       prune)
     if stats is not None:
         stats["visited"] = stats.get("visited", 0) + visited
     if best[0] is None:
         return None
-    return int(best[0]), best[1]
+    return best[0], best[1]
 
 
 def _min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):
@@ -333,5 +325,5 @@ def cliques_in_subset(
         got = _first_rec(ids, masks, full, need, prefix)
         return [tuple(sorted(got))] if got else []
     out: list[tuple[int, ...]] = []
-    _enum_rec(ids, masks, full, need, prefix, out, None)
+    _enum_rec(ids, masks, full, need, prefix, out)
     return out

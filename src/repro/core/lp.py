@@ -59,33 +59,33 @@ def solve(
     """Run Algorithm 3 (LP when ``prune``, L otherwise); HeapInit runs on
     Spark when ``spark`` is given."""
     k = prep.k
-    adj, scores = prep.adj, prep.scores
-    deadline = None
-    if budget is not None:
-        budget.check_time()
-        deadline = budget.epoch_deadline
+    adj, scores = prep.adj, prep.scores.tolist()
+    budget = budget or Budget()
+    budget.check_time()
     slices = clique_listing.fan_out(
-        spark, adj, k, partial(_heap_init, k=k, prune=prune, deadline=deadline), scores
+        spark, adj, k, partial(_heap_init, k=k, prune=prune, budget=budget), scores
     )
     heap_rows = [r for rows, _ in slices for r in rows]
-    return _calculation(adj, scores, heap_rows, sum(v for _, v in slices), k, prune)
+    res = _calculation(adj, scores, heap_rows, sum(v for _, v in slices), k, prune, budget)
+    res.S = prep.to_ids(res.S)
+    return res
 
 
 def _heap_init(
     sources: list[int],
     adj: Oriented,
-    scores: dict[int, int],
+    scores: list[int],
     k: int,
     prune: bool,
-    deadline: float | None = None,
+    budget: Budget,
 ) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-    """One FindMin per source (a dense position): the ``(score, members,
-    source)`` heap rows and the ``visited`` count summed over every
+    """One FindMin per source: the ``(score, members, source)`` heap rows,
+    all over positions, and the ``visited`` count summed over every
     source, including those that root no clique."""
     rows = []
     visited = 0
     for u in sources:
-        kernels._check_deadline(deadline, "HeapInit")
+        budget.check_time()
         st: dict = {}
         got = kernels.find_min_clique(adj, scores, u, k, None, prune, st)
         visited += st.get("visited", 0)
@@ -96,14 +96,15 @@ def _heap_init(
 
 def _calculation(
     adj: Oriented,
-    scores: dict[int, int],
+    scores: list[int],
     heap_rows: list[tuple[int, tuple[int, ...], int]],
     visited: int,
     k: int,
     prune: bool,
+    budget: Budget,
 ) -> LPResult:
-    """Driver ``Calculation`` (Algorithm 3 lines 31-39); ``visited``
-    starts from HeapInit's count."""
+    """Driver ``Calculation`` (Algorithm 3 lines 31-39), with S as
+    position tuples; ``visited`` starts from HeapInit's count."""
     heap = list(heap_rows)
     heapq.heapify(heap)
     valid = np.ones(adj.n, dtype=bool)
@@ -111,7 +112,7 @@ def _calculation(
     recomputes = 0
     while heap:
         score, members, src = heapq.heappop(heap)
-        at = adj.pos(members)
+        at = list(members)
         if valid[at].all():
             S.append(members)
             valid[at] = False
@@ -119,6 +120,7 @@ def _calculation(
         # Stale entry: its source may still root other cliques.
         if not valid[src]:
             continue
+        budget.check_time()
         recomputes += 1
         st: dict = {}
         got = kernels.find_min_clique(adj, scores, src, k, valid, prune, st)

@@ -7,7 +7,8 @@ impractical: (i) list all k-cliques, (ii) build the clique graph,
 clique graph on one machine anyway — under a Budget that reproduces
 the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
 MIS) cells. The MIS vertices are the cliques' sorted member tuples,
-inserted in ascending order.
+inserted in ascending order; they hold positions, which rise with node
+id, so the order and every tie-break are those of id tuples.
 """
 from __future__ import annotations
 
@@ -42,13 +43,14 @@ def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
     k = prep.k
     if budget is not None:
-        budget.check_count(sum(prep.scores.values()) // k)
+        scores = prep.scores.tolist()
+        budget.check_count(sum(scores) // k)
         # Cheap upper bound on clique-graph edges from node scores:
         # cliques sharing node u form a clique of size s_n(u) in the
         # clique graph, so |E(G_C)| <= sum_u C(s_n(u), 2). Guard BEFORE
         # building it — the clique graph is exactly where OPT blows up
         # (Table III).
-        budget.check_count(sum(s * (s - 1) // 2 for s in prep.scores.values()))
+        budget.check_count(sum(s * (s - 1) // 2 for s in scores))
         budget.check_time()
     # exact_mis numbers the vertices and sweeps its reductions in insertion
     # order, and breaks branch ties by (degree, vertex), so S depends on the
@@ -58,7 +60,7 @@ def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
     if budget is not None:
         budget.check_count(n_edges)
         budget.check_time()
-    S = sorted(exact_mis(adj, budget=budget))
+    S = prep.to_ids(sorted(exact_mis(adj, budget=budget)))
     return OptResult("OK", S, n_cliques=len(adj), n_cg_edges=n_edges)
 
 

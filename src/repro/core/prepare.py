@@ -5,7 +5,8 @@ HG, GC, L/LP, OPT, Table I's count and the dynamic harnesses take a
 degree ordering -> DAG orientation -> node scores (Def. 5) -> score
 ordering (Algorithm 3 line 3) -> DAG orientation. Spark, when given,
 only fans out the per-source work over these tables.
-``Prepared(edges, k)`` runs the sequence once per (graph, k); each
+``Prepared(edges, k)`` runs the sequence once per (graph, k); the node
+ids and the degree ordering are found at construction, and each later
 stage is computed on first use, so HG, which needs only the degree
 orientation, never counts, and only L/LP reaches the score ordering and
 its orientation (``rank``, ``adj``): clique listing emits sorted member
@@ -14,13 +15,19 @@ tuples, so GC and OPT list on the degree orientation.
 Each orientation is one :class:`~repro.graphs.adjacency.Oriented`
 table: out-neighbour CSR plus the orientation's triangles as a second
 per-source CSR of local pairs, found once by a vectorized wedge check.
-Every kernel call builds its local subgraph from those pairs. Both
-tables have the same nodes, so a dense position means the same node in
-either, and ``valid`` masks are indexed by it.
+Every kernel call builds its local subgraph from those pairs.
+
+From here to the selected S a node is keyed only by its dense position,
+its index in ``nodes`` (node ids, ascending): the orderings and the
+scores are int arrays over positions, both tables share them, kernels
+take and return positions, and ``valid`` masks are indexed by them.
+Positions rise with id, so a sort or a tie-break on position tuples is
+the one on id tuples. Each algorithm maps its S to ids once, with
+:meth:`Prepared.to_ids`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,27 +41,34 @@ from repro.graphs.adjacency import Oriented
 class Prepared:
     edges: np.ndarray
     k: int
+    nodes: np.ndarray = field(init=False)  # every node id, ascending
+    degree_rank: np.ndarray = field(init=False)  # rank of each position
 
-    @cached_property
-    def degree_rank(self) -> dict[int, int]:
-        return adj_mod.rank_by_degree(self.edges)
+    def __post_init__(self) -> None:
+        self.nodes, self.degree_rank = adj_mod.rank_by_degree(self.edges)
 
     @cached_property
     def degree_adj(self) -> Oriented:
-        return adj_mod.orient_by_rank(self.edges, self.degree_rank)
+        return adj_mod.orient_by_rank(self.edges, self.nodes, self.degree_rank)
 
     @cached_property
-    def scores(self) -> dict[int, int]:
-        """Node scores ``s_n``; nodes in no k-clique are absent (score 0)."""
-        adj, counts = self.degree_adj, {}
+    def scores(self) -> np.ndarray:
+        """Node scores ``s_n`` by position; 0 for a node in no k-clique."""
+        adj, counts = self.degree_adj, [0] * len(self.nodes)
         for u in adj.sources(self.k).tolist():
             kernels.count_from_source(adj, u, self.k, counts)
-        return counts
+        return np.array(counts, dtype=np.int64)
 
     @cached_property
-    def rank(self) -> dict[int, int]:
-        return adj_mod.rank_from_scores(self.scores, self.degree_rank)
+    def rank(self) -> np.ndarray:
+        return adj_mod.rank_from_scores(self.scores)
 
     @cached_property
     def adj(self) -> Oriented:
-        return adj_mod.orient_by_rank(self.edges, self.rank)
+        return adj_mod.orient_by_rank(self.edges, self.nodes, self.rank)
+
+    def to_ids(self, cliques) -> list[tuple[int, ...]]:
+        """Cliques of positions as cliques of node ids, in the same order;
+        a sorted member tuple stays sorted."""
+        nodes = self.nodes.tolist()
+        return [tuple(nodes[p] for p in c) for c in cliques]

@@ -12,7 +12,6 @@ from collections import deque
 
 from repro.core import kernels
 from repro.core.gc import greedy_by_score
-from repro.core.validate import is_clique
 from repro.dynamic import index as index_mod
 from repro.dynamic.state import Clique, DynamicState
 
@@ -67,17 +66,6 @@ def refresh_candidates(state: DynamicState, touched_nodes) -> set[Clique]:
     return gained
 
 
-def _valid_candidate(state: DynamicState, owner: Clique, cand: Clique) -> bool:
-    """Defensive re-check at use time: still a clique, free nodes still
-    free, non-free nodes still exactly from ``owner``."""
-    if not is_clique(state.adj, cand):
-        return False
-    non_free = [v for v in cand if not state.is_free(v)]
-    return bool(non_free) and len(non_free) < state.k and all(
-        state.node2c[v] == owner for v in non_free
-    )
-
-
 def try_swap(state: DynamicState, queue: deque[Clique]) -> int:
     """Run Algorithm 4. Returns the net growth of |S|.
 
@@ -93,12 +81,7 @@ def try_swap(state: DynamicState, queue: deque[Clique]) -> int:
         c = queue.popleft()
         if c not in state.S:
             continue
-        cands = [
-            x for x in state.cand.get(c, set()) if _valid_candidate(state, c, x)
-        ]
-        if not cands:
-            continue
-        scored = [(state.clique_score(x), x) for x in cands]
+        scored = [(state.clique_score(x), x) for x in state.cand.get(c, ())]
         s_dis = greedy_by_score(scored)
         if len(s_dis) <= 1:
             continue

@@ -10,6 +10,11 @@ array; the result is one :class:`Oriented` table of compact arrays,
 which is what the enumeration kernels consume on the driver and,
 broadcast, in Spark tasks. ``repro.core.prepare.Prepared`` runs the
 sequence once per (graph, k) for both backends.
+
+A node is keyed by its dense position, its index in the ascending array
+of node ids: orderings are int arrays indexed by position, and the
+table's CSRs hold positions. Node ids enter once, in the edge array, and
+stay only in ``Oriented.nodes``.
 """
 from __future__ import annotations
 
@@ -49,10 +54,6 @@ class Oriented:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def pos(self, ids) -> np.ndarray:
-        """Dense positions of node ids (which must be nodes of the table)."""
-        return np.searchsorted(self.nodes, ids)
 
     def sources(self, k: int) -> np.ndarray:
         """Positions that can root a k-clique: out-degree >= k-1."""
@@ -135,43 +136,36 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
     return out
 
 
-def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> Oriented:
+def orient_by_rank(edges: np.ndarray, nodes: np.ndarray, rank: np.ndarray) -> Oriented:
     """DAG orientation (Algorithm 1 line 3): ``u -> v`` iff
-    ``rank[u] > rank[v]``, as the table over the nodes of ``rank``."""
-    nodes = np.fromiter(rank.keys(), dtype=np.int64, count=len(rank))
-    ranks = np.fromiter(rank.values(), dtype=np.int64, count=len(rank))
-    order = np.argsort(nodes)
-    nodes, ranks = nodes[order], ranks[order]
-    return _table(nodes, _arc_keys(edges, nodes, ranks))
-
-
-def _arc_keys(edges: np.ndarray, nodes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """``pos(u) * n + pos(v)`` of each arc ``u -> v``, higher rank first."""
+    ``rank[pos(u)] > rank[pos(v)]``, as the table over ``nodes`` (every
+    endpoint id, ascending; ``rank`` is indexed by position)."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     pu, pv = np.searchsorted(nodes, edges[:, 0]), np.searchsorted(nodes, edges[:, 1])
-    down = ranks[pu] < ranks[pv]
+    down = rank[pu] < rank[pv]
     pu[down], pv[down] = pv[down], pu[down]
     pu *= len(nodes)
-    pu += pv
-    return pu
+    pu += pv  # the arc keys pos(u) * n + pos(v), higher rank first
+    return _table(nodes, pu)
 
 
-def rank_by_degree(edges: np.ndarray) -> dict[int, int]:
-    """Degree ordering (Section IV-A): larger degree => larger rank,
-    ties broken by node id."""
+def rank_by_degree(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every node id, ascending, and the degree ordering (Section IV-A)
+    over their positions: larger degree => larger rank, ties broken by
+    node id."""
     nodes, deg = np.unique(np.asarray(edges, dtype=np.int64), return_counts=True)
-    return _ranks(nodes[np.lexsort((nodes, deg))])
+    return nodes, _rank(deg)
 
 
-def rank_from_scores(scores: dict[int, int], nodes) -> dict[int, int]:
-    """Score ordering (Algorithm 3 line 3): ``eta(u) < eta(v)  =>
-    s_n(u) <= s_n(v)``, ties by node id; a node without a score counts
-    as 0."""
-    nodes = np.fromiter(nodes, dtype=np.int64)
-    score = np.fromiter((scores.get(v, 0) for v in nodes.tolist()), dtype=np.int64, count=len(nodes))
-    return _ranks(nodes[np.lexsort((nodes, score))])
+def rank_from_scores(scores: np.ndarray) -> np.ndarray:
+    """Score ordering (Algorithm 3 line 3) over positions: ``eta(u) <
+    eta(v)  =>  s_n(u) <= s_n(v)``, ties by node id."""
+    return _rank(scores)
 
 
-def _ranks(ordered: np.ndarray) -> dict[int, int]:
-    """``{node: position}``, built in rank order."""
-    return dict(zip(ordered.tolist(), range(len(ordered))))
+def _rank(key: np.ndarray) -> np.ndarray:
+    """The rank of each position in ascending ``(key, position)`` order;
+    positions rise with id, so ties go by id."""
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[np.argsort(key, kind="stable")] = np.arange(len(key))
+    return rank

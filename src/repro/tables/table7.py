@@ -22,7 +22,7 @@ def build_state(e: np.ndarray, k: int) -> st_mod.DynamicState:
     """LP from scratch + node scores -> a DynamicState ready for
     indexing (shared by Table VII/VIII harnesses and benchmarks)."""
     prep = Prepared(e, k)
-    S, scores = lp.solve(prep).S, prep.scores
+    S, scores = lp.solve(prep).S, dict(zip(prep.nodes.tolist(), prep.scores.tolist()))
     del prep  # free its adjacencies before the state builds its own
     return st_mod.from_edges(e, k, S, scores)
 

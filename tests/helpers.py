@@ -6,6 +6,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.budgets import Budget, SimulatedOOT
 from repro.dynamic import index as index_mod
 from repro.graphs import generators as gen
 
@@ -48,6 +49,33 @@ def paper_fig5_g1_edges() -> np.ndarray:
         (9, 10), (9, 11), (10, 11),
     ]
     return np.array(sorted(e), dtype=np.int64)
+
+
+def to_ids(nodes, cliques) -> list[tuple[int, ...]]:
+    """Cliques of dense positions as tuples of the node ids ``nodes``
+    (ascending) holds at those positions."""
+    ids = np.asarray(nodes).tolist()
+    return [tuple(ids[p] for p in c) for c in cliques]
+
+
+def by_id(nodes, counts) -> dict[int, int]:
+    """Counts indexed by dense position as ``{node id: count}``, the
+    zeros left out."""
+    return {v: c for v, c in zip(np.asarray(nodes).tolist(), list(counts)) if c}
+
+
+class TripBudget(Budget):
+    """Counts ``check_time`` calls and raises ``SimulatedOOT`` on call
+    ``trip_at`` (never when it is None)."""
+
+    def __init__(self, trip_at=None):
+        super().__init__()
+        self.trip_at, self.calls = trip_at, 0
+
+    def check_time(self) -> None:
+        self.calls += 1
+        if self.calls == self.trip_at:
+            raise SimulatedOOT("tripped")
 
 
 # ---- reference oracle: the np.intersect1d kernels and the loop-based

@@ -3,7 +3,9 @@ rank/orient helpers against the np.intersect1d kernels and loop helpers
 they replaced (``tests.helpers.ref_*``), and the table's local subgraphs
 against the set-intersection build they replaced (``ref_local``).
 Results must be identical, not just equivalent: listing order, FindMin's
-(score, members) and its ``visited`` counter, FindOne's first clique."""
+(score, members) and its ``visited`` counter, FindOne's first clique.
+The kernels work on dense positions and the references on node ids, so
+results are mapped to ids (``H.to_ids``, ``H.by_id``) before comparing."""
 import numpy as np
 import pytest
 
@@ -24,9 +26,15 @@ def _graph(seed, kind):
     return H.random_graph(seed, 48, kind)
 
 
+def _table(e, rank):
+    """The table of ``e`` oriented by a reference ``{id: rank}``."""
+    nodes = np.unique(e)
+    return adj_mod.orient_by_rank(e, nodes, np.array([rank[v] for v in nodes.tolist()]))
+
+
 def _orientations(e, k):
     """Degree orientation, score orientation (LP's), each as the
-    reference dict and as the table, and the scores."""
+    reference dict and as the table, and the id-keyed scores."""
     r0 = H.ref_rank_by_degree(e)
     adj0 = H.ref_orient_by_rank(e, r0)
     scores: dict[int, int] = {}
@@ -34,7 +42,7 @@ def _orientations(e, k):
         H.ref_count_from_source(adj0, u, k, scores)
     r1 = H.ref_rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
     adj1 = H.ref_orient_by_rank(e, r1)
-    return (adj0, adj_mod.orient_by_rank(e, r0)), (adj1, adj_mod.orient_by_rank(e, r1)), scores
+    return (adj0, _table(e, r0)), (adj1, _table(e, r1)), scores
 
 
 def _masks(e, seed):
@@ -55,12 +63,12 @@ def _at(table, valid):
 def test_count_matches_reference(seed, kind, k):
     e = _graph(seed, kind)
     for adj, t in _orientations(e, k)[:2]:
-        got: dict[int, int] = {}
+        got = [0] * t.n
         want: dict[int, int] = {}
         for p in range(t.n):
             kernels.count_from_source(t, p, k, got)
             H.ref_count_from_source(adj, int(t.nodes[p]), k, want)
-        assert got == want
+        assert H.by_id(t.nodes, got) == want
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -74,7 +82,7 @@ def test_enumeration_order_matches_reference(seed, kind, k):
             for p in range(t.n):
                 kernels.enumerate_from_source(t, p, k, _at(t, valid), out=got)
                 H.ref_enumerate_from_source(adj, int(t.nodes[p]), k, valid, out=want)
-            assert got == want
+            assert H.to_ids(t.nodes, got) == want
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -82,13 +90,16 @@ def test_enumeration_order_matches_reference(seed, kind, k):
 def test_find_min_and_visited_match_reference(seed, kind, k):
     e = _graph(seed, kind)
     _, (adj, t), scores = _orientations(e, k)
+    at = [scores.get(v, 0) for v in t.nodes.tolist()]
     for valid in _masks(e, seed):
         for prune in (True, False):
             for p in range(t.n):
                 st_got: dict = {}
                 st_want: dict = {}
-                got = kernels.find_min_clique(t, scores, p, k, _at(t, valid), prune, st_got)
+                got = kernels.find_min_clique(t, at, p, k, _at(t, valid), prune, st_got)
                 want = H.ref_find_min_clique(adj, scores, int(t.nodes[p]), k, valid, prune, st_want)
+                if got is not None:
+                    got = (got[0], H.to_ids(t.nodes, [got[1]])[0])
                 assert got == want
                 assert st_got.get("visited", 0) == st_want.get("visited", 0)
 
@@ -101,6 +112,7 @@ def test_find_first_matches_reference(seed, kind, k):
     for valid in _masks(e, seed):
         for p in range(t.n):
             got = kernels.find_first_clique(t, p, k, _at(t, valid))
+            got = None if got is None else H.to_ids(t.nodes, [got])[0]
             assert got == H.ref_find_first_clique(adj, int(t.nodes[p]), k, valid)
 
 
@@ -140,10 +152,11 @@ def test_local_subgraph_matches_reference(seed, kind):
 
 def test_local_subgraph_of_empty_graph():
     e = np.empty((0, 2), dtype=np.int64)
-    t = adj_mod.orient_by_rank(e, {})
+    none = np.empty(0, dtype=np.int64)
+    t = adj_mod.orient_by_rank(e, none, none)
     assert (t.n, len(t.ind), t.tri.shape) == (0, 0, (0, 2))
     assert len(t.sources(3)) == 0
-    t = adj_mod.orient_by_rank(e, {7: 0, 9: 1})  # nodes, but no arc
+    t = adj_mod.orient_by_rank(e, np.array([7, 9]), np.array([0, 1]))  # nodes, but no arc
     assert t.ptr.tolist() == t.tptr.tolist() == [0, 0, 0]
     assert kernels._local(t, 1, None, 1) is None
 
@@ -180,11 +193,11 @@ def test_local_subgraph_with_ids_near_1e10():
 @pytest.mark.parametrize("chunk", [1, 7, 500])
 def test_triangles_do_not_depend_on_the_wedge_chunk(monkeypatch, chunk):
     e = _graph(1, "er")
-    rank = adj_mod.rank_by_degree(e)
-    whole = adj_mod.orient_by_rank(e, rank)
+    nodes, rank = adj_mod.rank_by_degree(e)
+    whole = adj_mod.orient_by_rank(e, nodes, rank)
     assert np.diff(whole.ptr)[whole.ind].sum() > 2 * chunk, "more wedges than one chunk"
     monkeypatch.setattr(adj_mod, "WEDGE_CHUNK", chunk)
-    cut = adj_mod.orient_by_rank(e, rank)
+    cut = adj_mod.orient_by_rank(e, nodes, rank)
     for name in ("nodes", "ptr", "ind", "tptr", "tri"):
         assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
     if chunk == 7:
@@ -194,17 +207,18 @@ def test_triangles_do_not_depend_on_the_wedge_chunk(monkeypatch, chunk):
 @pytest.mark.parametrize("seed,kind", CASES)
 def test_numpy_rank_and_orient_match_loops(seed, kind):
     e = _graph(seed, kind)
-    rank = adj_mod.rank_by_degree(e)
-    assert rank == H.ref_rank_by_degree(e)
+    nodes, rank = adj_mod.rank_by_degree(e)
+    ids = nodes.tolist()
+    assert ids == sorted({int(v) for v in e.reshape(-1)})
+    assert dict(zip(ids, rank.tolist())) == H.ref_rank_by_degree(e)
     rng = np.random.default_rng(seed)
-    nodes = {int(v) for v in e.reshape(-1)}
     # Scores with ties, and some nodes left out (they count as 0).
-    scores = {v: int(rng.integers(0, 4)) for v in nodes if rng.random() < 0.7}
-    by_score = adj_mod.rank_from_scores(scores, nodes)
-    assert by_score == H.ref_rank_from_scores(scores, nodes)
+    scores = {v: int(rng.integers(0, 4)) for v in ids if rng.random() < 0.7}
+    by_score = adj_mod.rank_from_scores(np.array([scores.get(v, 0) for v in ids]))
+    assert dict(zip(ids, by_score.tolist())) == H.ref_rank_from_scores(scores, set(ids))
     for r in (rank, by_score):
-        got = H.as_dict(adj_mod.orient_by_rank(e, r))
-        want = H.ref_orient_by_rank(e, r)
+        got = H.as_dict(adj_mod.orient_by_rank(e, nodes, r))
+        want = H.ref_orient_by_rank(e, dict(zip(ids, r.tolist())))
         assert got.keys() == want.keys()
         for u in want:
             assert got[u].dtype == np.int64
@@ -215,19 +229,21 @@ def test_orient_with_large_ids_matches_loop():
     """Ids whose pairs overflow an int64 key: the table keys its arcs by
     dense positions."""
     e = _graph(0, "pp") + 2**40
-    rank = adj_mod.rank_by_degree(e)
-    assert rank == H.ref_rank_by_degree(e)
-    got = H.as_dict(adj_mod.orient_by_rank(e, rank))
-    want = H.ref_orient_by_rank(e, rank)
+    nodes, rank = adj_mod.rank_by_degree(e)
+    ref = H.ref_rank_by_degree(e)
+    assert dict(zip(nodes.tolist(), rank.tolist())) == ref
+    got = H.as_dict(adj_mod.orient_by_rank(e, nodes, rank))
+    want = H.ref_orient_by_rank(e, ref)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[u], want[u]) for u in want)
 
 
 def test_numpy_rank_and_orient_empty():
     e = np.empty((0, 2), dtype=np.int64)
-    assert adj_mod.rank_by_degree(e) == {}
-    assert adj_mod.rank_from_scores({}, set()) == {}
-    assert H.as_dict(adj_mod.orient_by_rank(e, {})) == {}
+    nodes, rank = adj_mod.rank_by_degree(e)
+    assert len(nodes) == len(rank) == 0
+    assert len(adj_mod.rank_from_scores(np.empty(0, dtype=np.int64))) == 0
+    assert H.as_dict(adj_mod.orient_by_rank(e, nodes, rank)) == {}
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -235,7 +251,9 @@ def test_prepare_matches_the_loop_sequence(k):
     e = _graph(1, "pp")
     (adj0, _), (adj1, _), scores = _orientations(e, k)
     prep = Prepared(e, k)
-    assert prep.scores == scores
+    assert prep.nodes.tolist() == sorted({int(v) for v in e.reshape(-1)})
+    assert len(prep.scores) == len(prep.nodes)
+    assert H.by_id(prep.nodes, prep.scores.tolist()) == scores
     for got, want in ((H.as_dict(prep.degree_adj), adj0), (H.as_dict(prep.adj), adj1)):
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[u], want[u]) for u in want)

@@ -1,27 +1,43 @@
 """Kernel tests: enumeration, counting, first/min clique search —
-all checked against brute-force ground truth on small graphs."""
-import time
-
+all checked against brute-force ground truth on small graphs. The
+kernels take and return dense positions; ground truth is in node ids."""
 import numpy as np
 import pytest
 
 from repro.core import kernels, validate
-from repro.core.budgets import SimulatedOOT
 from repro.graphs import adjacency as adj_mod
 
-from tests.helpers import paper_fig2_edges, random_graph
+from tests.helpers import by_id, paper_fig2_edges, random_graph, to_ids
 
 
-def _oriented(e, rank=None):
-    rank = rank or adj_mod.rank_by_degree(e)
-    return adj_mod.orient_by_rank(e, rank)
+def _oriented(e, by_degree=True):
+    """The degree orientation of ``e``, or with ``by_degree`` false the
+    id orientation."""
+    nodes, rank = adj_mod.rank_by_degree(e)
+    return adj_mod.orient_by_rank(e, nodes, rank if by_degree else np.arange(len(nodes)))
 
 
 def _all_listed(adj, k):
+    """Every k-clique as its node-id tuple, in listing order."""
     out = []
     for u in range(adj.n):
         kernels.enumerate_from_source(adj, u, k, out=out)
-    return out
+    return to_ids(adj.nodes, out)
+
+
+def _counts(adj, k):
+    """Node scores by position."""
+    counts = [0] * adj.n
+    for u in range(adj.n):
+        kernels.count_from_source(adj, u, k, counts)
+    return counts
+
+
+def _score_oriented(e, k):
+    """LP's score orientation of ``e`` and its node scores by position."""
+    adj0 = _oriented(e)
+    scores = _counts(adj0, k)
+    return adj_mod.orient_by_rank(e, adj0.nodes, adj_mod.rank_from_scores(np.array(scores))), scores
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -38,8 +54,8 @@ def test_enumeration_matches_brute_force(seed, k, kind):
 def test_enumeration_invariant_to_ordering(k):
     e = random_graph(9, 40, "pp")
     by_deg = set(_all_listed(_oriented(e), k))
-    by_id = set(_all_listed(_oriented(e, {int(v): int(v) for v in e.reshape(-1)}), k))
-    assert by_deg == by_id
+    by_ids = set(_all_listed(_oriented(e, by_degree=False), k))
+    assert by_deg == by_ids
 
 
 def test_enumeration_fig2_lists_seven_triangles():
@@ -56,9 +72,7 @@ def test_enumeration_fig2_lists_seven_triangles():
 def test_count_matches_enumeration(seed, k):
     e = random_graph(seed, 40)
     adj = _oriented(e)
-    counts: dict[int, int] = {}
-    for u in range(adj.n):
-        kernels.count_from_source(adj, u, k, counts)
+    counts = by_id(adj.nodes, _counts(adj, k))
     listed = _all_listed(adj, k)
     want: dict[int, int] = {}
     for c in listed:
@@ -70,9 +84,7 @@ def test_count_matches_enumeration(seed, k):
 def test_count_fig2_matches_example3():
     """Example 3: s_n(v6) = s_n(v5) = s_n(v8) = 3."""
     adj = _oriented(paper_fig2_edges())
-    counts: dict[int, int] = {}
-    for u in range(adj.n):
-        kernels.count_from_source(adj, u, 3, counts)
+    counts = by_id(adj.nodes, _counts(adj, 3))
     assert counts[6] == 3 and counts[5] == 3 and counts[8] == 3
     assert counts[1] == 1 and counts[2] == 1
 
@@ -88,20 +100,19 @@ def test_find_first_returns_a_real_clique(seed, k):
         got = kernels.find_first_clique(adj, u, k, None)
         if got is not None:
             found_any = True
-            assert adj.nodes[u] in got and len(got) == k
-            assert validate.is_clique(sets_, got)
+            assert u in got and len(got) == k
+            assert validate.is_clique(sets_, to_ids(adj.nodes, [got])[0])
     assert found_any
 
 
 def test_find_first_respects_valid_mask():
     e = paper_fig2_edges()
-    rank = {v: v for v in range(1, 10)}  # id ordering
-    adj = adj_mod.orient_by_rank(e, rank)
+    adj = _oriented(e, by_degree=False)
     valid = np.ones(adj.n, dtype=bool)
-    v6 = int(adj.pos(6))
+    v6 = int(np.searchsorted(adj.nodes, 6))
     got = kernels.find_first_clique(adj, v6, 3, valid)
     assert got is not None
-    valid[adj.pos(got)] = False
+    valid[list(got)] = False
     again = kernels.find_first_clique(adj, v6, 3, valid)
     assert again is None, "v6 itself is invalid-free but members are masked"
 
@@ -113,17 +124,12 @@ def test_find_min_is_exact_minimum(seed, k, prune):
     """FindMin == min over the exhaustive per-source clique list under
     the fixed total order (score, members)."""
     e = random_graph(seed, 36)
-    adj0 = _oriented(e)
-    scores: dict[int, int] = {}
-    for u in range(adj0.n):
-        kernels.count_from_source(adj0, u, k, scores)
-    rank = adj_mod.rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
-    adj = adj_mod.orient_by_rank(e, rank)
+    adj, scores = _score_oriented(e, k)
     for u in range(adj.n):
         exhaustive = []
         kernels.enumerate_from_source(adj, u, k, out=exhaustive)
         want = min(
-            ((sum(scores.get(v, 0) for v in c), c) for c in exhaustive),
+            ((sum(scores[v] for v in c), c) for c in exhaustive),
             default=None,
         )
         got = kernels.find_min_clique(adj, scores, u, k, prune=prune)
@@ -132,12 +138,7 @@ def test_find_min_is_exact_minimum(seed, k, prune):
 
 def test_find_min_pruning_reduces_visits():
     e = random_graph(3, 60, "plc")
-    adj0 = _oriented(e)
-    scores: dict[int, int] = {}
-    for u in range(adj0.n):
-        kernels.count_from_source(adj0, u, 4, scores)
-    rank = adj_mod.rank_from_scores(scores, {int(v) for v in e.reshape(-1)})
-    adj = adj_mod.orient_by_rank(e, rank)
+    adj, scores = _score_oriented(e, 4)
     visited = {True: 0, False: 0}
     for prune in (True, False):
         for u in range(adj.n):
@@ -146,14 +147,6 @@ def test_find_min_pruning_reduces_visits():
             visited[prune] += st.get("visited", 0)
     assert visited[True] <= visited[False]
     assert visited[False] > 0
-
-
-def test_enumeration_deadline_raises():
-    e = random_graph(0, 80, "plc")
-    adj = _oriented(e)
-    with pytest.raises(SimulatedOOT):
-        for u in range(adj.n):
-            kernels.enumerate_from_source(adj, u, 4, deadline=time.time() - 1)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -12,8 +12,14 @@ from repro.core.mis import exact_mis
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
 
-from tests.helpers import random_graph, ref_exact_mis
+from tests.helpers import TripBudget, random_graph, ref_exact_mis
 from repro.graphs import adjacency as adj_mod
+
+
+def _cliques(e, k):
+    """Every k-clique of ``e`` as its node-id tuple."""
+    prep = Prepared(e, k)
+    return prep.to_ids(list_kcliques(prep))
 
 
 def _brute_mis_size(adj: dict) -> int:
@@ -110,41 +116,27 @@ def test_exact_mis_equals_reference_tuple_keys(seed):
 @pytest.mark.parametrize("kind", ["pp", "plc", "er"])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_exact_mis_equals_reference_on_clique_graphs(seed, kind, k):
-    cg = clique_graph(sorted(list_kcliques(Prepared(random_graph(seed, 20, kind), k))))
+    cg = clique_graph(sorted(_cliques(random_graph(seed, 20, kind), k)))
     assert exact_mis(cg) == ref_exact_mis(cg)
 
 
-class _TripBudget(Budget):
-    """Counts ``check_time`` calls and raises ``SimulatedOOT`` on call
-    ``trip_at`` (never when it is None)."""
-
-    def __init__(self, trip_at=None):
-        super().__init__()
-        self.trip_at, self.calls = trip_at, 0
-
-    def check_time(self) -> None:
-        self.calls += 1
-        if self.calls == self.trip_at:
-            raise SimulatedOOT("tripped")
-
-
 def test_exact_mis_budget_trips_deep_in_search():
-    cg = clique_graph(sorted(list_kcliques(Prepared(random_graph(0, 20, "pp"), 3))))
-    counted = _TripBudget()
+    cg = clique_graph(sorted(_cliques(random_graph(0, 20, "pp"), 3)))
+    counted = TripBudget()
     want = exact_mis(cg, budget=counted)
     assert counted.calls > 100  # one call per search node
-    last = _TripBudget(trip_at=counted.calls)
+    last = TripBudget(trip_at=counted.calls)
     with pytest.raises(SimulatedOOT):
         exact_mis(cg, budget=last)
     assert last.calls == counted.calls
-    assert exact_mis(cg, budget=_TripBudget(trip_at=counted.calls + 1)) == want
+    assert exact_mis(cg, budget=TripBudget(trip_at=counted.calls + 1)) == want
 
 
 @pytest.mark.parametrize("name,k,size", [("Football", 5, 15), ("Voles", 4, 21)])
 def test_exact_mis_finishes_table4_cells(name, k, size):
     """Table IV cells the dict-of-sets solver left OOT under 30 s."""
     e = datasets.edges(name)
-    S = exact_mis(clique_graph(sorted(list_kcliques(Prepared(e, k)))), Budget(max_seconds=30))
+    S = exact_mis(clique_graph(sorted(_cliques(e, k))), Budget(max_seconds=30))
     assert len(S) == size
     assert all(not set(a) & set(b) for a, b in itertools.combinations(S, 2))
     assert len(S) >= lp_numpy(e, k).size

@@ -1,13 +1,16 @@
 """Spark-path algorithm tests: HG/GC/LP/OPT end-to-end, equivalence
 with the numpy reference paths, budget OOM/OOT behaviour, clique
 graph."""
+import dataclasses
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import clique_listing, opt, validate
 from repro.core import gc as gc_mod
+from repro.core import hg as hg_mod
 from repro.core import lp as lp_mod
 from repro.core.clique_graph import clique_graph
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
@@ -90,6 +93,32 @@ def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     assert hg(spark, df, 3).S == got
 
 
+@pytest.mark.parametrize("kind", ["pp", "plc", "er"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_wide_ids_give_the_mapped_solution(spark, kind, k):
+    """The algorithms see node ids only at the boundary: relabelling the
+    nodes through a random strictly increasing map, with gaps of up to
+    about 10^12, gives the mapped S and the same counters (``visited``,
+    ``n_heap_init``, ``n_cliques``, ...) for HG, GC, L, LP and OPT, and
+    for GC and LP also with Spark."""
+    e = random_graph(k, 20, kind)
+    ids = np.cumsum(np.random.default_rng(k).integers(1, 10**12, size=int(e.max()) + 1))
+    wide = ids[e]
+    algos = {
+        "HG": hg_mod.solve,
+        "GC": gc_mod.solve,
+        "L": partial(lp_mod.solve, prune=False),
+        "LP": lp_mod.solve,
+        "OPT": opt.solve,
+    }
+    for name, solve in algos.items():
+        want = solve(Prepared(e, k))
+        want = dataclasses.replace(want, S=[tuple(ids[list(c)].tolist()) for c in want.S])
+        assert solve(Prepared(wide, k)) == want, name
+        if name in ("GC", "LP"):
+            assert solve(Prepared(wide, k), spark=spark) == want, name
+
+
 def test_lp_without_prune_same_result(spark, ftb):
     e, df = ftb
     assert sorted(lp(spark, df, 3, prune=False).S) == sorted(lp_numpy(e, 3).S)
@@ -120,30 +149,29 @@ def test_lp_budget_oot(spark, ftb):
     ids=["gc", "opt", "count_kcliques", "gc-driver", "lp-driver"],
 )
 def test_budget_oot_after_driver_count(spark, ftb, algo):
-    """The count runs on the driver without a deadline; the time budget
-    still fires before any clique is listed, also when GC's listing and
-    LP's HeapInit run on the driver."""
+    """The count runs on the driver without checking the clock; the time
+    budget still fires before any clique is listed, also when GC's
+    listing and LP's HeapInit run on the driver."""
     e, _ = ftb
     with pytest.raises(SimulatedOOT):
         algo(Prepared(e, 3), Budget(max_seconds=-1.0), spark)
-
-
-class _ExecutorDeadline(Budget):
-    """Passes every driver check; the deadline it hands to the Spark
-    tasks is already past."""
-
-    @property
-    def epoch_deadline(self) -> float:
-        return time.time() - 1.0
 
 
 @pytest.mark.parametrize("algo", [lp, gc], ids=["lp", "gc"])
 def test_budget_oot_inside_spark_tasks(spark, ftb, algo):
     """A deadline that expires inside the fan-out's tasks fails them on
     the executors; the failure must come back as ``SimulatedOOT``."""
+
+    class ExpiredWhenShipped(Budget):  # local, so the task pickles it by value
+        """Passes every driver check; the copy the Spark tasks get has
+        its deadline already past."""
+
+        def __getstate__(self):
+            return {**self.__dict__, "deadline": time.time() - 1.0}
+
     _, df = ftb
     with pytest.raises(SimulatedOOT, match="from executor"):
-        algo(spark, df, 3, budget=_ExecutorDeadline())
+        algo(spark, df, 3, budget=ExpiredWhenShipped(max_seconds=3600))
 
 
 @pytest.mark.parametrize(
@@ -178,7 +206,7 @@ def test_fan_out_deals_sources_evenly(spark):
     1024-element serialization batches."""
     # Leaves 2..20001 ranked above the two hubs: out-degree 2 each.
     edges = np.array([(h, v) for v in range(2, 20_002) for h in (0, 1)], dtype=np.int64)
-    adj = adj_mod.orient_by_rank(edges, {v: v for v in range(20_002)})
+    adj = adj_mod.orient_by_rank(edges, np.arange(20_002), np.arange(20_002))
     sizes = clique_listing.fan_out(spark, adj, 3, lambda srcs, adj: len(srcs))
     assert sum(sizes) == 20_000 and max(sizes) - min(sizes) <= 1
 
@@ -216,7 +244,8 @@ def test_opt_not_smaller_than_heuristics():
 def test_clique_graph_fig2():
     """Fig. 3: the clique graph of the running example has 7 nodes;
     C1 has degree 2."""
-    cg = clique_graph(sorted(clique_listing.list_kcliques(Prepared(paper_fig2_edges(), 3))))
+    prep = Prepared(paper_fig2_edges(), 3)
+    cg = clique_graph(sorted(prep.to_ids(clique_listing.list_kcliques(prep))))
     assert len(cg) == 7
     c1 = (1, 3, 6)
     assert len(cg[c1]) == 2
@@ -227,15 +256,17 @@ def test_clique_graph_fig2():
 
 def test_clique_scores_spark_match_driver(spark, ftb, monkeypatch):
     """GC on Spark scores every clique once, with s_c = the sum of the
-    driver's node scores (``Prepared.scores``) over its members."""
+    driver's node scores (``Prepared.scores``) over its members; both
+    are keyed by position."""
     e, _ = ftb
     k = 3
     scored = []
     select = gc_mod.greedy_by_score
     monkeypatch.setattr(gc_mod, "greedy_by_score", lambda rows: select(scored.extend(rows) or rows))
-    gc_mod.solve(Prepared(e, k), spark=spark)
-    scores = Prepared(e, k).scores
-    assert {c for _, c in scored} == validate.brute_force_all_kcliques(e, k)
-    assert len(scored) == len({c for _, c in scored})
+    prep = Prepared(e, k)
+    gc_mod.solve(prep, spark=spark)
+    cliques = prep.to_ids(c for _, c in scored)
+    assert set(cliques) == validate.brute_force_all_kcliques(e, k)
+    assert len(cliques) == len(set(cliques))
     for score, members in scored:
-        assert score == sum(scores[v] for v in members)
+        assert score == sum(prep.scores[p] for p in members)

@@ -12,7 +12,7 @@ from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 from repro.oracle import assert_equivalent
 
-from tests.helpers import as_dict, list_kcliques_joins, paper_fig2_edges, random_graph
+from tests.helpers import as_dict, by_id, list_kcliques_joins, paper_fig2_edges, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,8 @@ def ftb(spark):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_list_kcliques_matches_brute(spark, ftb, k):
     e, _ = ftb
-    got = clique_listing.list_kcliques(Prepared(e, k), spark=spark)
+    prep = Prepared(e, k)
+    got = prep.to_ids(clique_listing.list_kcliques(prep, spark=spark))
     assert len(got) == len(set(got))
     assert set(got) == validate.brute_force_all_kcliques(e, k)
 
@@ -47,17 +48,20 @@ def test_count_kcliques(ftb, k):
 
 def test_node_scores_match_kernel_counts(ftb):
     """Node scores (Def. 5) == brute-force clique membership counts;
-    nodes in no clique are absent from both."""
+    a node in no clique scores 0."""
     e, _ = ftb
     cliques = validate.brute_force_all_kcliques(e, 3)
-    assert Prepared(e, 3).scores == dict(Counter(v for c in cliques for v in c))
+    prep = Prepared(e, 3)
+    assert by_id(prep.nodes, prep.scores.tolist()) == dict(Counter(v for c in cliques for v in c))
+    assert prep.nodes.tolist() == np.unique(e).tolist()
 
 
 def test_triangle_count_against_duckdb_oracle(spark, ftb):
     """Independent-engine check: our Spark triangle listing count ==
     DuckDB's SQL self-join triangle count over the same edge table."""
     e, _ = ftb
-    triangles = spark.createDataFrame(clique_listing.list_kcliques(Prepared(e, 3), spark=spark))
+    prep = Prepared(e, 3)
+    triangles = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
     spark_count = triangles.groupBy().count().withColumnRenamed("count", "n_triangles")
     assert_equivalent(
         spark_count,
@@ -74,10 +78,9 @@ def test_triangle_count_against_duckdb_oracle(spark, ftb):
 def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
     """Node scores for k=3 == DuckDB per-node triangle membership."""
     e, _ = ftb
-    got = Prepared(e, 3).scores
-    nodes = np.unique(e)
+    prep = Prepared(e, 3)
     scores = spark.createDataFrame(pd.DataFrame(
-        {"node": nodes, "score": [got.get(int(v), 0) for v in nodes]}, dtype="int64"))
+        {"node": prep.nodes, "score": prep.scores}, dtype="int64"))
     assert_equivalent(
         scores,
         """
@@ -106,7 +109,8 @@ def test_per_node_triangle_scores_against_duckdb_oracle(spark, ftb):
 def test_four_clique_count_against_duckdb_oracle(spark):
     """k=4 counting cross-checked in SQL on a smaller graph."""
     e = random_graph(2, 30, "pp")
-    cliques = spark.createDataFrame(clique_listing.list_kcliques(Prepared(e, 4), spark=spark))
+    prep = Prepared(e, 4)
+    cliques = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
     cnt = cliques.groupBy().count().withColumnRenamed("count", "n4")
     assert_equivalent(
         cnt,
@@ -125,14 +129,16 @@ def test_four_clique_count_against_duckdb_oracle(spark):
 
 def test_member_columns_sorted_ascending(spark, ftb):
     e, _ = ftb
-    arr = np.array(clique_listing.list_kcliques(Prepared(e, 4), spark=spark))
+    prep = Prepared(e, 4)
+    arr = np.array(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
     assert (np.diff(arr, axis=1) > 0).all()
 
 
 def test_oriented_edges_form_dag(ftb):
     e, _ = ftb
-    rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, rank)
+    nodes, by_pos = adj_mod.rank_by_degree(e)
+    adj = adj_mod.orient_by_rank(e, nodes, by_pos)
+    rank = dict(zip(nodes.tolist(), by_pos.tolist()))
     arcs = [(u, int(v)) for u, nb in as_dict(adj).items() for v in nb]
     for s, d in arcs:
         assert rank[s] > rank[d]

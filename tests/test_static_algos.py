@@ -8,7 +8,7 @@ from repro.core.gc import gc_numpy, greedy_by_score
 from repro.core.hg import hg_numpy
 from repro.core.lp import lp_numpy
 
-from tests.helpers import paper_fig2_edges, random_graph
+from tests.helpers import paper_fig2_edges, random_graph, to_ids
 
 GRAPHS = [(s, kind) for s in range(4) for kind in ("pp", "plc")]
 
@@ -86,11 +86,11 @@ def test_fig2_example2_first_found_is_selection_dependent():
     from repro.graphs import adjacency as adj_mod
 
     e = paper_fig2_edges()
-    rank = {v: v for v in range(1, 10)}
-    adj = adj_mod.orient_by_rank(e, rank)
-    res = hg_driver_from_oriented(adj, np.arange(1, 10, dtype=np.int64), 3)
-    validate.assert_valid_solution(e, 3, res.S)
-    assert validate.is_maximal(e, 3, res.S)
+    nodes, by_id = np.arange(1, 10, dtype=np.int64), np.arange(9)  # position v-1 is node v
+    adj = adj_mod.orient_by_rank(e, nodes, by_id)
+    S = to_ids(nodes, hg_driver_from_oriented(adj, by_id, 3).S)
+    validate.assert_valid_solution(e, 3, S)
+    assert validate.is_maximal(e, 3, S)
     # The paper's size-2 trace is a maximal set too: selection order,
     # not correctness, separates the two outcomes.
     paper_trace = [(3, 5, 6), (7, 8, 9)]

@@ -11,18 +11,20 @@ from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import generators as gen
 
-from tests.helpers import paper_fig2_edges, random_graph
+from tests.helpers import by_id, paper_fig2_edges, random_graph, to_ids
 
 
 def _scores_and_cliques(e, k):
-    rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, rank)
-    scores: dict[int, int] = {}
+    """Node scores ``{id: s_n}`` (nodes in no clique left out) and every
+    k-clique as its id tuple."""
+    nodes, rank = adj_mod.rank_by_degree(e)
+    adj = adj_mod.orient_by_rank(e, nodes, rank)
+    scores = [0] * adj.n
     cliques: list[tuple[int, ...]] = []
     for u in range(adj.n):
         kernels.count_from_source(adj, u, k, scores)
         kernels.enumerate_from_source(adj, u, k, out=cliques)
-    return scores, cliques
+    return by_id(nodes, scores), to_ids(nodes, cliques)
 
 
 def _clique_degrees_brute(cliques):
@@ -57,7 +59,8 @@ def test_clique_graph_equals_definition(seed, kind, k):
     e = random_graph(seed, 30, kind)
     cliques = sorted(validate.brute_force_all_kcliques(e, k))
     want = {c: {d for d in cliques if d != c and set(c) & set(d)} for c in cliques}
-    got = clique_graph(sorted(list_kcliques(Prepared(e, k))))
+    prep = Prepared(e, k)
+    got = clique_graph(sorted(prep.to_ids(list_kcliques(prep))))
     assert got == want
     assert list(got) == cliques
 

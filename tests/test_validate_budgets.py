@@ -1,11 +1,15 @@
 """Validation-oracle and budget-machinery tests."""
+import pickle
 import time
 
 import numpy as np
 import pytest
 
+from repro.core import lp as lp_mod
 from repro.core import validate
+from repro.core.clique_listing import list_kcliques
 from repro.core.mis import exact_mis
+from repro.core.prepare import Prepared
 from repro.core.budgets import (
     Budget,
     OOM_MARKER,
@@ -16,7 +20,7 @@ from repro.core.budgets import (
 )
 from repro.graphs import adjacency as adj_mod
 
-from tests.helpers import paper_fig2_edges, random_graph
+from tests.helpers import TripBudget, paper_fig2_edges, random_graph
 
 
 def test_is_clique_and_not():
@@ -87,7 +91,7 @@ def test_budget_count_guard():
 def test_budget_time_guard():
     b = Budget(max_seconds=100)
     b.check_time()
-    b2 = Budget(max_seconds=0.0, started=time.monotonic() - 5)
+    b2 = Budget(max_seconds=-5.0)
     with pytest.raises(SimulatedOOT):
         b2.check_time()
 
@@ -96,12 +100,47 @@ def test_budget_unbounded_noops():
     b = Budget()
     b.check_count(10**12)
     b.check_time()
-    assert b.epoch_deadline is None
+    assert b.deadline is None
 
 
-def test_budget_epoch_deadline_in_future():
+def test_budget_deadline_set_at_construction_and_shipped():
+    """The deadline is one epoch time, stamped at construction; a pickled
+    copy, as a Spark task gets it, checks the same deadline."""
+    t0 = time.time()
     b = Budget(max_seconds=60)
-    assert b.epoch_deadline > time.time()
+    assert t0 + 60 <= b.deadline <= time.time() + 60
+    assert pickle.loads(pickle.dumps(b)).deadline == b.deadline
+    with pytest.raises(SimulatedOOT):
+        pickle.loads(pickle.dumps(Budget(max_seconds=-1.0))).check_time()
+
+
+def test_listing_checks_the_budget_once_per_source():
+    prep = Prepared(random_graph(0, 80, "plc"), 4)
+    with pytest.raises(SimulatedOOT):
+        list_kcliques(prep, Budget(max_seconds=-1.0))
+    counted = TripBudget()
+    want = list_kcliques(prep, counted)
+    assert counted.calls == len(prep.degree_adj.sources(4))
+    with pytest.raises(SimulatedOOT):
+        list_kcliques(prep, TripBudget(trip_at=counted.calls))
+    assert list_kcliques(prep, TripBudget(trip_at=counted.calls + 1)) == want == list_kcliques(prep)
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["LP", "L"])
+def test_lp_checks_the_budget_in_calculation(prune):
+    """L/LP checks the clock once before HeapInit, once per HeapInit
+    source and once per Calculation recompute; the last check is a
+    recompute's, so a budget that trips there raises, and one that
+    allows one more check returns the unbudgeted result."""
+    prep = Prepared(random_graph(2, 48, "plc"), 4)
+    want = lp_mod.solve(prep, prune)
+    assert want.n_recomputes > 0
+    counted = TripBudget()
+    assert lp_mod.solve(prep, prune, counted) == want
+    assert counted.calls == 1 + len(prep.adj.sources(4)) + want.n_recomputes
+    with pytest.raises(SimulatedOOT):
+        lp_mod.solve(prep, prune, TripBudget(trip_at=counted.calls))
+    assert lp_mod.solve(prep, prune, TripBudget(trip_at=counted.calls + 1)) == want
 
 
 def test_translate_spark_error():
