@@ -15,7 +15,18 @@ tuples, so GC and OPT list on the degree orientation.
 Each orientation is one :class:`~repro.graphs.adjacency.Oriented`
 table: out-neighbour CSR plus the orientation's triangles as a second
 per-source CSR of local pairs, found once by a vectorized wedge check.
-Every kernel call builds its local subgraph from those pairs.
+Every kernel call builds its local subgraph from those pairs. Both
+tables keep only the arcs that can lie in a k-clique
+(:func:`~repro.graphs.adjacency.keep_clique_arcs`): an arc ``u -> x``
+stays iff x has at least k-2 neighbours in N+(u). A kept source's
+triangle rows are its local adjacency among its kept out-neighbours,
+including the edges whose own arcs were dropped, so they cannot be
+rederived from the kept arcs. The score table, besides, orients only
+the edges between nodes of positive score; ``nodes``, the positions and
+both orderings stay over every node. A dropped arc or node completes no
+clique, so the clique set, the scores and each kernel's result are
+those of the unfiltered tables; FindMin only visits fewer dead
+candidates.
 
 From here to the selected S a node is keyed only by its dense position,
 its index in ``nodes`` (node ids, ascending): the orderings and the
@@ -49,7 +60,8 @@ class Prepared:
 
     @cached_property
     def degree_adj(self) -> Oriented:
-        return adj_mod.orient_by_rank(self.edges, self.nodes, self.degree_rank)
+        t = adj_mod.orient_by_rank(self.edges, self.nodes, self.degree_rank)
+        return adj_mod.keep_clique_arcs(t, self.k)
 
     @cached_property
     def scores(self) -> np.ndarray:
@@ -65,7 +77,8 @@ class Prepared:
 
     @cached_property
     def adj(self) -> Oriented:
-        return adj_mod.orient_by_rank(self.edges, self.nodes, self.rank)
+        t = adj_mod.orient_by_rank(self.edges, self.nodes, self.rank, live=self.scores > 0)
+        return adj_mod.keep_clique_arcs(t, self.k)
 
     def to_ids(self, cliques) -> list[tuple[int, ...]]:
         """Cliques of positions as cliques of node ids, in the same order;

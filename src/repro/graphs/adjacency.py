@@ -9,7 +9,9 @@ and the orientation are computed on the driver from the numpy edge
 array; the result is one :class:`Oriented` table of compact arrays,
 which is what the enumeration kernels consume on the driver and,
 broadcast, in Spark tasks. ``repro.core.prepare.Prepared`` runs the
-sequence once per (graph, k) for both backends.
+sequence once per (graph, k) for both backends, and hands the kernels
+each table through :func:`keep_clique_arcs`, which drops the arcs that
+can lie in no k-clique.
 
 A node is keyed by its dense position, its index in the ascending array
 of node ids: orderings are int arrays indexed by position, and the
@@ -43,6 +45,8 @@ class Oriented:
       indices into the out-neighbours of ``p``: with ``a = ptr[p]``,
       ``ind[a+j]`` is an out-neighbour of ``ind[a+i]``. These pairs are
       the edges of the local subgraph on N+(p) that the kernels search.
+      After :func:`keep_clique_arcs` they are that local subgraph on the
+      kept out-neighbours, which the kept arcs alone no longer hold.
     """
 
     nodes: np.ndarray
@@ -136,17 +140,52 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
     return out
 
 
-def orient_by_rank(edges: np.ndarray, nodes: np.ndarray, rank: np.ndarray) -> Oriented:
+def orient_by_rank(
+    edges: np.ndarray, nodes: np.ndarray, rank: np.ndarray, live: np.ndarray | None = None
+) -> Oriented:
     """DAG orientation (Algorithm 1 line 3): ``u -> v`` iff
     ``rank[pos(u)] > rank[pos(v)]``, as the table over ``nodes`` (every
-    endpoint id, ascending; ``rank`` is indexed by position)."""
+    endpoint id, ascending; ``rank`` is indexed by position). With
+    ``live``, a boolean mask over positions, only the edges whose two
+    endpoints are live are oriented; ``nodes`` stays whole."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     pu, pv = np.searchsorted(nodes, edges[:, 0]), np.searchsorted(nodes, edges[:, 1])
+    if live is not None:
+        both = live[pu] & live[pv]
+        pu, pv = pu[both], pv[both]
     down = rank[pu] < rank[pv]
     pu[down], pv[down] = pv[down], pu[down]
     pu *= len(nodes)
     pu += pv  # the arc keys pos(u) * n + pos(v), higher rank first
     return _table(nodes, pu)
+
+
+def keep_clique_arcs(t: Oriented, k: int) -> Oriented:
+    """``t`` without the arcs that lie in no k-clique rooted at their
+    source.
+
+    An arc ``u -> x`` of a k-clique rooted at ``u`` has ``x`` adjacent to
+    the other k-2 members inside N+(u), so its count of triangle rows of
+    ``u`` (x's degree in u's local subgraph) is at least k-2; the arcs
+    below that are dropped, and so are the triangle rows through them.
+    The surviving rows keep their pair, re-indexed into the shorter
+    out-neighbour lists: a row ``(u; x, y)`` is the edge x-y inside
+    N+(u), which stays when the arc ``x -> y`` left x's own list, so the
+    rows cannot be rebuilt from the kept arcs.
+    """
+    n = t.n
+    tsrc = np.repeat(np.arange(n), np.diff(t.tptr))
+    at = t.ptr[tsrc][:, None] + t.tri  # each row's two arcs
+    keep = np.bincount(at.reshape(-1), minlength=len(t.ind)) >= k - 2
+    rows = keep[at].all(axis=1)
+    before = np.zeros(len(keep) + 1, dtype=np.int64)  # kept arcs before each arc
+    np.cumsum(keep, out=before[1:])
+    ptr = before[t.ptr]
+    tsrc = tsrc[rows]
+    tri = (before[at[rows]] - ptr[tsrc][:, None]).astype(np.int32)
+    tptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
+    return Oriented(t.nodes, ptr, t.ind[keep], tptr, tri)
 
 
 def rank_by_degree(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -247,6 +247,36 @@ def ref_orient_by_rank(edges, rank):
     return {u: np.asarray(sorted(nb), dtype=np.int64) for u, nb in out.items()}
 
 
+def ref_clique_arcs(edges, rank, k):
+    """The table ``Prepared`` keeps for ``edges`` oriented by ``{id:
+    rank}``, built from adjacency sets: ``{u: (kept N+(u) ids, triangle
+    rows)}`` over the nodes with a kept arc. Arc ``u -> x`` is kept iff
+    |N(x) & N+(u)| >= k-2; u's rows are the pairs ``(i, j)`` of local
+    indices into its kept out-neighbours, in ascending order, with an
+    arc from the i-th to the j-th in the whole orientation."""
+    nb: dict[int, set[int]] = {}
+    for u, v in edges:
+        nb.setdefault(int(u), set()).add(int(v))
+        nb.setdefault(int(v), set()).add(int(u))
+    out = {}
+    for u in sorted(nb):
+        up = {x for x in nb[u] if rank[u] > rank[x]}
+        kept = sorted(x for x in up if len(nb[x] & up) >= k - 2)
+        if kept:
+            rows = [(i, j) for i, x in enumerate(kept) for j, y in enumerate(kept)
+                    if y in nb[x] and rank[x] > rank[y]]
+            out[u] = (kept, rows)
+    return out
+
+
+def as_rows(table):
+    """An ``adjacency.Oriented`` table in ``ref_clique_arcs``'s form."""
+    ids, ptr, tptr = table.nodes.tolist(), table.ptr, table.tptr
+    return {ids[p]: ([ids[x] for x in table.ind[ptr[p]:ptr[p + 1]].tolist()],
+                     [tuple(r) for r in table.tri[tptr[p]:tptr[p + 1]].tolist()])
+            for p in np.flatnonzero(np.diff(ptr) | np.diff(tptr)).tolist()}
+
+
 # ---- Catalyst listing oracle: an independent engine for the kernel path.
 
 def list_kcliques_joins(edges_df: DataFrame, k: int) -> DataFrame:

@@ -9,7 +9,8 @@ results are mapped to ids (``H.to_ids``, ``H.by_id``) before comparing."""
 import numpy as np
 import pytest
 
-from repro.core import kernels
+from repro.core import gc, hg, kernels, lp, opt
+from repro.core.clique_listing import count_kcliques
 from repro.core.lp import lp_numpy
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
@@ -248,15 +249,119 @@ def test_numpy_rank_and_orient_empty():
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_prepare_matches_the_loop_sequence(k):
+    """Both tables against ``ref_clique_arcs``, triangle rows included:
+    the degree table over every edge, the score table over the edges
+    between nodes of positive score."""
     e = _graph(1, "pp")
-    (adj0, _), (adj1, _), scores = _orientations(e, k)
+    r0 = H.ref_rank_by_degree(e)
+    adj0 = H.ref_orient_by_rank(e, r0)
+    scores: dict[int, int] = {}
+    for u in adj0:
+        H.ref_count_from_source(adj0, u, k, scores)
+    r1 = H.ref_rank_from_scores(scores, set(r0))
+    live = np.array([scores.get(int(u), 0) > 0 and scores.get(int(v), 0) > 0 for u, v in e])
     prep = Prepared(e, k)
     assert prep.nodes.tolist() == sorted({int(v) for v in e.reshape(-1)})
     assert len(prep.scores) == len(prep.nodes)
     assert H.by_id(prep.nodes, prep.scores.tolist()) == scores
-    for got, want in ((H.as_dict(prep.degree_adj), adj0), (H.as_dict(prep.adj), adj1)):
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[u], want[u]) for u in want)
+    assert np.array_equal(prep.adj.nodes, prep.nodes)
+    assert H.as_rows(prep.degree_adj) == H.ref_clique_arcs(e, r0, k)
+    assert H.as_rows(prep.adj) == H.ref_clique_arcs(e[live], r1, k)
+    assert len(prep.adj.ind) < len(prep.degree_adj.ind) < len(e), "both filters drop arcs"
+
+
+def _kernel_results(t, k, scores, valid):
+    """Every kernel over every source of ``t`` under ``valid``: the
+    count totals, the listing in order, FindOne's cliques, FindMin's
+    ``(score, members)`` and its summed ``visited``."""
+    counts = [0] * t.n
+    listed: list = []
+    first, best, visited = [], [], 0
+    for p in range(t.n):
+        kernels.count_from_source(t, p, k, counts)
+        kernels.enumerate_from_source(t, p, k, valid, out=listed)
+        first.append(kernels.find_first_clique(t, p, k, valid))
+        st: dict = {}
+        best.append(kernels.find_min_clique(t, scores, p, k, valid, True, st))
+        visited += st.get("visited", 0)
+    return (counts, listed, first, best), visited
+
+
+def _assert_filter_keeps_results(t, k, scores, valids, f=None):
+    """``f``, by default ``keep_clique_arcs(t, k)``, gives every kernel
+    result of ``t``, with no more FindMin ``visited``."""
+    if f is None:
+        f = adj_mod.keep_clique_arcs(t, k)
+    for valid in valids:
+        got, got_visited = _kernel_results(f, k, scores, _at(t, valid))
+        want, want_visited = _kernel_results(t, k, scores, _at(t, valid))
+        assert got == want
+        assert got_visited <= want_visited
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_clique_arc_filter_changes_no_kernel_result(seed, kind, k):
+    """On both orientations, under every mask: the filtered table gives
+    every kernel's result unchanged, and FindMin visits no more; so does
+    ``Prepared``'s score table, which leaves out the nodes of score 0."""
+    e = _graph(seed, kind)
+    (_, t0), (_, t1), scores = _orientations(e, k)
+    at = [scores.get(v, 0) for v in t0.nodes.tolist()]
+    for t in (t0, t1):
+        _assert_filter_keeps_results(t, k, at, _masks(e, seed))
+    _assert_filter_keeps_results(t1, k, at, _masks(e, seed), Prepared(e, k).adj)
+
+
+def test_clique_arc_filter_keeps_rows_of_dropped_arcs():
+    """A 4-clique {0..3} with a pendant 4, k=4: the arcs among the
+    non-root members lie in no 4-clique rooted at their own source and
+    are dropped, but the root's triangle rows through them stay. Built
+    again from the kept arcs, the table would lose the clique."""
+    e = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)], dtype=np.int64)
+    nodes = np.unique(e)
+    t = adj_mod.orient_by_rank(e, nodes, np.arange(len(nodes)))  # rank by id: 3 roots it
+    f = adj_mod.keep_clique_arcs(t, 4)
+    assert H.as_rows(f) == {3: ([0, 1, 2], [(1, 0), (2, 0), (2, 1)])}
+    keys = np.repeat(np.arange(f.n), np.diff(f.ptr)) * f.n + f.ind
+    rebuilt = adj_mod._table(f.nodes, keys)
+    assert kernels.enumerate_from_source(f, 3, 4) == [(0, 1, 2, 3)]
+    assert kernels.enumerate_from_source(rebuilt, 3, 4) == []
+    _assert_filter_keeps_results(t, 4, [1, 1, 1, 1, 0], [None, np.array([1, 1, 1, 1, 0], bool)])
+
+
+def test_clique_arc_filter_on_empty_tables():
+    none = np.empty(0, dtype=np.int64)
+    e = np.empty((0, 2), dtype=np.int64)
+    for nodes in (none, np.array([7, 9])):  # no node; nodes, but no arc
+        f = adj_mod.keep_clique_arcs(adj_mod.orient_by_rank(e, nodes, np.arange(len(nodes))), 3)
+        assert f.ptr.tolist() == f.tptr.tolist() == [0] * (len(nodes) + 1)
+        assert (len(f.ind), f.tri.shape, len(f.sources(3))) == (0, (0, 2), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_clique_arc_filter_keeps_every_arc_for_k_at_most_2(k):
+    e = _graph(0, "plc")
+    nodes, rank = adj_mod.rank_by_degree(e)
+    t = adj_mod.orient_by_rank(e, nodes, rank)
+    f = adj_mod.keep_clique_arcs(t, k)
+    for name in ("nodes", "ptr", "ind", "tptr", "tri"):
+        assert np.array_equal(getattr(f, name), getattr(t, name)), name
+
+
+def test_triangle_free_graph_keeps_no_arc_at_k3():
+    """A 6x6 grid has no triangle: at k=3 both tables are empty, every
+    score is 0, and HG, L, LP, GC and OPT return an empty S."""
+    e = np.array([(6 * r + c, 6 * r + c + 1) for r in range(6) for c in range(5)]
+                 + [(6 * r + c, 6 * r + c + 6) for r in range(5) for c in range(6)],
+                 dtype=np.int64)
+    prep = Prepared(e, 3)
+    assert len(prep.degree_adj.ind) == len(prep.adj.ind) == 0
+    assert not prep.scores.any() and len(prep.scores) == 36
+    assert count_kcliques(prep) == 0
+    for res in (hg.solve(prep), lp.solve(prep), lp.solve(prep, False), gc.solve(prep),
+                opt.solve(prep)):
+        assert res.S == []
 
 
 def test_lp_visited_counts_every_source(monkeypatch):
