@@ -20,7 +20,7 @@ def test_opt_small(benchmark, name):
 
 
 @pytest.mark.parametrize("name", ["Swallow", "Tortoise", "Voles"])
-def test_lp_small(benchmark, spark, name):
+def test_lp_small(benchmark, name):
     e = datasets.edges(name)
-    res = benchmark.pedantic(lambda: lp.solve(Prepared(e, 4), spark=spark), rounds=1, iterations=1)
+    res = benchmark.pedantic(lambda: lp.solve(Prepared(e, 4)), rounds=1, iterations=1)
     assert res.size >= 0

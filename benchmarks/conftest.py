@@ -19,17 +19,16 @@ def bench_edges():
 
 
 @pytest.fixture
-def heuristic(spark):
+def heuristic():
     """``heuristic(algo, e, k)`` runs "HG", "GC" or "LP" as a Table II or
     Table V cell does: on its own ``Prepared(e, k)``, so the time
-    includes the preparation, with GC and LP under a fresh budget and
-    fanned out on ``spark``."""
+    includes the preparation, with GC and LP under a fresh budget."""
 
     def run(algo, e, k):
         prep = Prepared(e, k)
         if algo == "HG":
             return hg.solve(prep)
         solve = {"GC": gc.solve, "LP": lp.solve}[algo]
-        return solve(prep, budget=common.fresh_budget(), spark=spark)
+        return solve(prep, budget=common.fresh_budget())
 
     return run

@@ -6,21 +6,16 @@ Usage: python jobs/table2_quality.py [dataset ...]
 """
 import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_spark  # noqa: E402
-
-from repro.tables import table2, table3  # noqa: E402
+from repro.tables import table2, table3
 
 
 def main() -> None:
-    spark = get_spark("table2")
     names = sys.argv[1:] or None
-    df = table2.run(spark, names=names)
+    df = table2.run(names=names)
     print("\n=== Table II (reproduced) ===")
     print(df.to_string(index=False))
     print("\n=== Table III (space proxies, MB) ===")
     print(table3.space_rows(df).to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

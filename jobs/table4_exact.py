@@ -4,19 +4,14 @@ Usage: python jobs/table4_exact.py [dataset ...]
 """
 import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_spark  # noqa: E402
-
-from repro.tables import table4  # noqa: E402
+from repro.tables import table4
 
 
 def main() -> None:
-    spark = get_spark("table4")
     names = sys.argv[1:] or None
-    df = table4.run(spark, names=names)
+    df = table4.run(names=names)
     print("\n=== Table IV (reproduced) ===")
     print(df.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -4,22 +4,17 @@ Usage: python jobs/table5_synthetic.py [n [degree ...]]
 """
 import sys
 
-sys.path.insert(0, "jobs")
-from _session import get_spark  # noqa: E402
-
-from repro.tables import synthetic  # noqa: E402
+from repro.tables import synthetic
 
 
 def main() -> None:
-    spark = get_spark("table5")
     n = int(sys.argv[1]) if len(sys.argv) > 1 else synthetic.DEFAULT_N
     degrees = tuple(map(int, sys.argv[2:])) or synthetic.DEFAULT_DEGREES
-    df = synthetic.run(spark, n=n, degrees=degrees)
+    df = synthetic.run(n=n, degrees=degrees)
     print("\n=== Table V (runtime, reproduced) ===")
     print(synthetic.table5(df).to_string(index=False))
     print("\n=== Table VI (size of S, reproduced) ===")
     print(synthetic.table6(df).to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -2,13 +2,11 @@
 
 Modules:
 
-- ``kernels``      — pure-Python/numpy enumeration & search kernels,
-                     shared by Spark tasks and the driver.
+- ``kernels``      — pure-Python/numpy enumeration & search kernels.
 - ``prepare``      — rank/orient/score preparation (``Prepared``), the
-                     input of every algorithm on both backends.
+                     input of every algorithm.
 - ``budgets``      — OOM/OOT simulation (paper's 504 GB / 24 h limits).
-- ``clique_listing`` — the per-source fan-out (driver loop or one Spark
-                     job), k-clique listing (GC, OPT) and Table I's count.
+- ``clique_listing`` — k-clique listing (GC, OPT) and Table I's count.
 - ``scores``       — an unused DataFrame-to-dict helper that
                      ``perfbench`` still looks up.
 - ``clique_graph`` — condensed clique graph (Def. 2), built on the driver.
@@ -20,7 +18,8 @@ Modules:
 - ``validate``     — solution validity / maximality oracles for tests.
 
 Each algorithm module has one ``solve(prep, ...)`` that takes a
-``Prepared``; ``budget`` caps it on both backends, and ``spark`` (GC
-and L/LP only) moves its per-source fan-out onto Spark. Table I's
-count is ``clique_listing.count_kcliques(prep, budget)``.
+``Prepared`` and runs on the driver; ``budget`` caps it. Table I's
+count is ``clique_listing.count_kcliques(prep, budget)``. The
+DataFrame wrappers ``hg``, ``lp``, ``gc`` and ``opt_or_status`` collect
+an edge DataFrame with ``datasets.df_to_edges`` and call ``solve``.
 """

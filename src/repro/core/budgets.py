@@ -20,12 +20,6 @@ class SimulatedOOM(RuntimeError):
 class SimulatedOOT(RuntimeError):
     """Raised when a run exceeds its wall-clock budget."""
 
-# Marker strings used to recover budget failures from Py4J-wrapped
-# executor exceptions (a Python exception inside a Spark task surfaces
-# on the driver as a generic job failure that quotes its traceback).
-OOM_MARKER = "REPRO_SIMULATED_OOM"
-OOT_MARKER = "REPRO_SIMULATED_OOT"
-
 
 @dataclass
 class Budget:
@@ -33,9 +27,8 @@ class Budget:
 
     ``max_cliques`` guards memory-style blow-ups (count of k-cliques an
     algorithm must hold at once); ``max_seconds`` guards time-style
-    blow-ups. ``deadline``, set at construction, is the epoch time at
-    which ``max_seconds`` run out: a budget shipped to Spark tasks checks
-    the same clock there as on the driver.
+    blow-ups. ``deadline``, set at construction, is the
+    ``time.monotonic()`` reading at which ``max_seconds`` run out.
     """
 
     max_cliques: int | None = None
@@ -44,27 +37,13 @@ class Budget:
 
     def __post_init__(self) -> None:
         if self.max_seconds is not None:
-            self.deadline = time.time() + self.max_seconds
+            self.deadline = time.monotonic() + self.max_seconds
 
     def check_count(self, count: int) -> None:
         if self.max_cliques is not None and count > self.max_cliques:
-            raise SimulatedOOM(
-                f"{OOM_MARKER}: {count} cliques exceeds budget {self.max_cliques}"
-            )
+            raise SimulatedOOM(f"{count} cliques exceeds budget {self.max_cliques}")
 
     def check_time(self) -> None:
-        if self.deadline is not None and time.time() > self.deadline:
-            raise SimulatedOOT(
-                f"{OOT_MARKER}: exceeded {self.max_seconds}s budget"
-            )
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SimulatedOOT(f"exceeded {self.max_seconds}s budget")
 
-
-def translate_spark_error(exc: Exception) -> Exception:
-    """Map a Py4J-wrapped executor failure back to the typed budget
-    exception if one of our markers is in the message."""
-    msg = str(exc)
-    if OOM_MARKER in msg:
-        return SimulatedOOM(f"{OOM_MARKER} (from executor)")
-    if OOT_MARKER in msg:
-        return SimulatedOOT(f"{OOT_MARKER} (from executor)")
-    return exc

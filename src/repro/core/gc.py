@@ -6,10 +6,9 @@ node scores, then selects cliques in ascending ``(s_c(C), member
 tuple)`` order, skipping any clique that intersects an already chosen
 one.
 
-Algorithm 2 is one sequential scan, so selection runs on the driver;
-only the listing fans out (:func:`~repro.core.clique_listing.fan_out`),
-on Spark when :func:`solve` is given a session. The budget stops GC at
-a clique count that fits on the driver
+Listing (:func:`~repro.core.clique_listing.list_kcliques`), scoring and
+the selection, one sequential scan, all run on the driver. The budget
+stops GC at a clique count that fits on the driver
 (``tables.common.DEFAULT_MAX_CLIQUES``) before anything is listed.
 """
 from __future__ import annotations
@@ -54,14 +53,11 @@ def greedy_by_score(
 select_distributed = greedy_by_score
 
 
-def solve(
-    prep: Prepared, budget: Budget | None = None, spark: SparkSession | None = None
-) -> GCResult:
-    """Run Algorithm 2: list (on Spark when ``spark`` is given), score
-    and select on the driver."""
+def solve(prep: Prepared, budget: Budget | None = None) -> GCResult:
+    """Run Algorithm 2: list, score and select."""
     n_cliques = clique_listing.count_kcliques(prep, budget)  # GC must store all of them
     scores = prep.scores.tolist()
-    cliques = clique_listing.list_kcliques(prep, budget, spark)
+    cliques = clique_listing.list_kcliques(prep, budget)
     scored = [(sum(map(scores.__getitem__, c)), c) for c in cliques]
     return GCResult("OK", prep.to_ids(greedy_by_score(scored)), n_cliques=n_cliques)
 
@@ -73,10 +69,10 @@ def gc(
     budget: Budget | None = None,
     driver_threshold: int | None = None,  # ignored; perfbench/workloads.py passes it
 ) -> GCResult:
-    """:func:`solve` on a Spark edge DataFrame, listing on ``spark``."""
-    return solve(Prepared(datasets.df_to_edges(edges_df), k), budget, spark)
+    """:func:`solve` on a Spark edge DataFrame, collected to the driver."""
+    return solve(Prepared(datasets.df_to_edges(edges_df), k), budget)
 
 
 def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
-    """:func:`solve` on the driver on a canonical edge array."""
+    """:func:`solve` on a canonical edge array."""
     return solve(Prepared(edges, k))

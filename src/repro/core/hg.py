@@ -36,15 +36,20 @@ def hg_driver_from_oriented(adj: Oriented, order: np.ndarray, k: int) -> HGResul
     as position tuples.
 
     ``order`` holds the positions ascending in the same total order used
-    to orient ``adj``; validity masking implements node removal.
+    to orient ``adj``; validity masking implements node removal. A node
+    with fewer than k-1 out-neighbours roots no clique, so it counts as
+    inspected without a ``FindOne`` call.
     """
     valid = np.ones(adj.n, dtype=bool)
+    can_root = (np.diff(adj.ptr) >= k - 1).tolist()
     S: list[tuple[int, ...]] = []
     inspected = 0
     for u in order.tolist():
         if not valid[u]:
             continue
         inspected += 1
+        if not can_root[u]:
+            continue
         clique = kernels.find_first_clique(adj, u, k, valid)
         if clique is not None:
             S.append(clique)

@@ -1,12 +1,10 @@
 """Enumeration and search kernels over an oriented adjacency.
 
 These are the per-source recursions every algorithm in the paper is
-built from. They are plain Python/numpy so the *same* code runs
-
-- inside Spark tasks (oriented adjacency arrives via a broadcast), for
-  the bulk parallel phases, and
-- on the driver, for the sequential greedy tails (Algorithm 1's main
-  loop, Algorithm 3's ``Calculation``).
+built from, plain Python/numpy run on the driver: the per-source
+passes (counting, HeapInit, listing) and the sequential greedy tails
+(Algorithm 1's main loop, Algorithm 3's ``Calculation``) call the same
+code.
 
 Representation: ``adj`` is an :class:`~repro.graphs.adjacency.Oriented`
 table. Its nodes sit at dense positions, in ascending id; the

@@ -8,9 +8,7 @@ ever storing the full clique set:
    DAG orientation — the driver's :class:`~repro.core.prepare.Prepared`;
 2. ``HeapInit``: for every source node, ``FindMin`` — the minimum-score
    clique rooted there, with the score-driven pruning strategy (LP) or
-   without (L); a driver loop over the sources, or one Spark task per
-   core when :func:`solve` is given a session
-   (:func:`~repro.core.clique_listing.fan_out`);
+   without (L); one driver loop over the sources;
 3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
@@ -23,12 +21,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import clique_listing, kernels
+from repro.core import kernels
 from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 # Unused; kept because perfbench.tracing.LAYERS looks this name up.
@@ -54,19 +51,14 @@ def solve(
     prep: Prepared,
     prune: bool = True,
     budget: Budget | None = None,
-    spark: SparkSession | None = None,
 ) -> LPResult:
-    """Run Algorithm 3 (LP when ``prune``, L otherwise); HeapInit runs on
-    Spark when ``spark`` is given."""
+    """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
     k = prep.k
     adj, scores = prep.adj, prep.scores.tolist()
     budget = budget or Budget()
     budget.check_time()
-    slices = clique_listing.fan_out(
-        spark, adj, k, partial(_heap_init, k=k, prune=prune, budget=budget), scores
-    )
-    heap_rows = [r for rows, _ in slices for r in rows]
-    res = _calculation(adj, scores, heap_rows, sum(v for _, v in slices), k, prune, budget)
+    heap_rows, visited = _heap_init(adj.sources(k).tolist(), adj, scores, k, prune, budget)
+    res = _calculation(adj, scores, heap_rows, visited, k, prune, budget)
     res.S = prep.to_ids(res.S)
     return res
 
@@ -137,10 +129,10 @@ def lp(
     prune: bool = True,
     budget: Budget | None = None,
 ) -> LPResult:
-    """:func:`solve` on a Spark edge DataFrame, HeapInit on ``spark``."""
-    return solve(Prepared(datasets.df_to_edges(edges_df), k), prune, budget, spark)
+    """:func:`solve` on a Spark edge DataFrame, collected to the driver."""
+    return solve(Prepared(datasets.df_to_edges(edges_df), k), prune, budget)
 
 
 def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
-    """:func:`solve` on the driver on a canonical edge array."""
+    """:func:`solve` on a canonical edge array."""
     return solve(Prepared(edges, k), prune)

@@ -1,10 +1,9 @@
-"""Driver-side preparation shared by every algorithm and both backends.
+"""Driver-side preparation shared by every algorithm.
 
 HG, GC, L/LP, OPT, Table I's count and the dynamic harnesses take a
 ``Prepared`` and start from the same sequence on a numpy edge array:
 degree ordering -> DAG orientation -> node scores (Def. 5) -> score
-ordering (Algorithm 3 line 3) -> DAG orientation. Spark, when given,
-only fans out the per-source work over these tables.
+ordering (Algorithm 3 line 3) -> DAG orientation.
 ``Prepared(edges, k)`` runs the sequence once per (graph, k); the node
 ids and the degree ordering are found at construction, and each later
 stage is computed on first use, so HG, which needs only the degree

@@ -104,7 +104,7 @@ def is_maximal(edges: np.ndarray, k: int, S) -> bool:
 
 def brute_force_all_kcliques(edges: np.ndarray, k: int) -> set[tuple[int, ...]]:
     """Reference listing by brute enumeration over the whole node set —
-    the ground truth the Spark listing substrate is tested against."""
+    the ground truth the clique listing is tested against."""
     adj = adj_mod.adj_sets(edges)
     allnodes = {int(v) for v in edges.reshape(-1)}
     return set(cliques_in_subset(adj, allnodes, k))

@@ -7,11 +7,10 @@ higher-``eta`` endpoint to the lower one (``u -> v`` iff
 its highest-``eta`` member. Both orderings (degree, then node score)
 and the orientation are computed on the driver from the numpy edge
 array; the result is one :class:`Oriented` table of compact arrays,
-which is what the enumeration kernels consume on the driver and,
-broadcast, in Spark tasks. ``repro.core.prepare.Prepared`` runs the
-sequence once per (graph, k) for both backends, and hands the kernels
-each table through :func:`keep_clique_arcs`, which drops the arcs that
-can lie in no k-clique.
+which is what the enumeration kernels consume.
+``repro.core.prepare.Prepared`` runs the sequence once per (graph, k),
+and hands the kernels each table through :func:`keep_clique_arcs`,
+which drops the arcs that can lie in no k-clique.
 
 A node is keyed by its dense position, its index in the ascending array
 of node ids: orderings are int arrays indexed by position, and the

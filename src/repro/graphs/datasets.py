@@ -6,8 +6,8 @@ has no network access, so each dataset is replaced by a deterministic
 synthetic stand-in with similar n, m and generative character
 (heavy-tail degrees + high clustering for the social graphs, dense
 communities for the small contact graphs). Large graphs are scaled
-down (`scale` column) so a 16-core local PySpark run stays within
-budget; DESIGN.md §3 argues why the shape of the results survives.
+down (`scale` column) so a run on one machine stays within budget;
+DESIGN.md §3 argues why the shape of the results survives.
 
 Every entry is deterministic in its fixed seed, so tests, benchmarks
 and the DuckDB oracle all see identical graphs.

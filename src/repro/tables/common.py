@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core import gc, hg, lp
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
@@ -40,7 +39,6 @@ def cell(status: str, value) -> str:
 
 
 def heuristic_cells(
-    spark: SparkSession | None,
     e: np.ndarray,
     k: int,
     algos: tuple[str, ...],
@@ -50,8 +48,7 @@ def heuristic_cells(
     """HG, then GC and LP under fresh budgets with their Δ against HG, for
     those of them in ``algos``: size, seconds and the counter Table III
     reads, in Table II's column order. Each timed cell builds its own
-    ``Prepared(e, k)``, so an algorithm's time includes its preparation;
-    GC's listing and LP's HeapInit fan out on ``spark``."""
+    ``Prepared(e, k)``, so an algorithm's time includes its preparation."""
     row: dict = {}
     hg_size = None
     if "HG" in algos:
@@ -66,7 +63,7 @@ def heuristic_cells(
         if name not in algos:
             continue
         budget = fresh_budget(max_cliques, max_seconds)
-        st, out, secs = run_cell(lambda: solve(Prepared(e, k), budget=budget, spark=spark))
+        st, out, secs = run_cell(lambda: solve(Prepared(e, k), budget=budget))
         ok = st == "OK"
         row[name] = cell(st, getattr(out, "size", None))
         row[f"{name}_delta"] = out.size - hg_size if ok and hg_size is not None else None

@@ -7,7 +7,6 @@ produces both tables (Table V = seconds, Table VI = sizes + Δ vs HG).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.graphs import generators as gen
 from repro.tables import common
@@ -20,7 +19,6 @@ COLUMNS = ["Degree", "n", "m", "k", "HG", "t_HG(s)", "GC", "t_GC(s)", "GC_delta"
 
 
 def run(
-    spark: SparkSession,
     n: int = DEFAULT_N,
     degrees: tuple[int, ...] = DEFAULT_DEGREES,
     ks: tuple[int, ...] = (3, 4, 5, 6),
@@ -32,9 +30,8 @@ def run(
         e = gen.watts_strogatz(n, deg, REWIRE_P, seed=100 + deg)
         for k in ks:
             row: dict = {"Degree": deg, "n": n, "m": len(e), "k": k}
-            row.update(
-                common.heuristic_cells(spark, e, k, ("HG", "GC", "LP"), max_cliques, max_seconds)
-            )
+            algos = ("HG", "GC", "LP")
+            row.update(common.heuristic_cells(e, k, algos, max_cliques, max_seconds))
             rows.append(row)
             print(pd.DataFrame([row], columns=COLUMNS).to_string(index=False))
     return pd.DataFrame(rows, columns=COLUMNS)

@@ -7,7 +7,6 @@ the counters Table III's space proxies need.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core import opt
 from repro.core.prepare import Prepared
@@ -16,7 +15,6 @@ from repro.tables import common
 
 
 def run(
-    spark: SparkSession,
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     algos: tuple[str, ...] = ("OPT", "HG", "GC", "LP"),
@@ -31,7 +29,7 @@ def run(
         e = datasets.edges(name)
         for k in ks:
             row: dict = {"Name": name, "k": k, "n": int(e.max()) + 1, "m": len(e)}
-            row.update(common.heuristic_cells(spark, e, k, algos, max_cliques, max_seconds))
+            row.update(common.heuristic_cells(e, k, algos, max_cliques, max_seconds))
             if "OPT" in algos:
                 budget = common.fresh_budget(max_cliques, opt_max_seconds)
                 st, out, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))

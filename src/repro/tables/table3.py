@@ -1,8 +1,9 @@
 """Table III: space consumption proxies.
 
-Our process shares one JVM with Spark, so per-algorithm RSS is not
-attributable; we report the analytic proxies that drive the paper's
-table instead (DESIGN.md §3): HG holds the graph (O(m+n)); LP adds
+Every algorithm of a Table II row runs in one Python process, whose
+peak RSS is a high-water mark over the whole run, so per-algorithm RSS
+is not attributable; we report the analytic proxies that drive the
+paper's table instead (DESIGN.md §3): HG holds the graph (O(m+n)); LP adds
 the score array and one heap entry per source; GC additionally holds
 every k-clique; OPT holds the clique graph. Bytes are computed from
 the measured counts of the Table II runs.

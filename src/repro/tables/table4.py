@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core import lp, opt
 from repro.core.prepare import Prepared
@@ -11,7 +10,6 @@ from repro.tables import common
 
 
 def run(
-    spark: SparkSession,
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     opt_max_seconds: float = 60.0,
@@ -23,7 +21,7 @@ def run(
         e = datasets.edges(name)
         for k in ks:
             row = {"Dataset": name, "n": int(e.max()) + 1, "m": len(e), "k": k}
-            lp_res = lp.solve(Prepared(e, k), spark=spark)
+            lp_res = lp.solve(Prepared(e, k))
             row["LP"] = lp_res.size
             budget = common.fresh_budget(opt_max_cliques, opt_max_seconds)
             st, opt_res, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))

@@ -384,3 +384,30 @@ def test_lp_visited_counts_every_source(monkeypatch):
     res = lp_numpy(e, 5)
     assert calls["empty"] > 0, "the graph should have sources that root no clique"
     assert res.visited == calls["visited"]
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_hg_loop_skips_only_nodes_that_root_no_clique(monkeypatch, seed, kind, k):
+    """HG's loop calls FindOne only on nodes with at least k-1
+    out-neighbours, yet gives the S and ``n_inspected`` of the loop that
+    calls it on every still-valid node."""
+    prep = Prepared(_graph(seed, kind), k)
+    adj, order = prep.degree_adj, np.argsort(prep.degree_rank)
+    valid = np.ones(adj.n, dtype=bool)
+    want, inspected = [], 0
+    for u in order.tolist():
+        if valid[u]:
+            inspected += 1
+            clique = kernels.find_first_clique(adj, u, k, valid)
+            if clique is not None:
+                want.append(clique)
+                valid[list(clique)] = False
+    sources = set(adj.sources(k).tolist())
+    called = []
+    find_first = kernels.find_first_clique
+    monkeypatch.setattr(kernels, "find_first_clique",
+                        lambda adj, u, *a: called.append(u) or find_first(adj, u, *a))
+    got = hg.hg_driver_from_oriented(adj, order, k)
+    assert (got.S, got.n_inspected) == (want, inspected)
+    assert set(called) <= sources

@@ -1,8 +1,7 @@
-"""Spark-path algorithm tests: HG/GC/LP/OPT end-to-end, equivalence
-with the numpy reference paths, budget OOM/OOT behaviour, clique
-graph."""
+"""DataFrame-wrapper and driver algorithm tests: HG/GC/LP/OPT end to
+end, the wrappers kept for the benchmark against ``solve``, budget
+OOM/OOT behaviour, clique graph."""
 import dataclasses
-import time
 from functools import partial
 
 import numpy as np
@@ -31,28 +30,80 @@ def ftb(spark):
     return e, datasets.edges_to_df(spark, e)
 
 
+# The DataFrame wrappers kept for perfbench/ collect their edges and run
+# ``solve`` on the driver: (wrapper(spark, df, k), solve(prep)) pairs.
+WRAPPERS = {
+    "hg": (hg, hg_mod.solve),
+    "lp": (lp, lp_mod.solve),
+    "l": (partial(lp, prune=False), partial(lp_mod.solve, prune=False)),
+    "gc": (gc, gc_mod.solve),
+    "opt": (
+        lambda spark, df, k: opt_or_status(spark, df, k, Budget()),
+        lambda prep: opt.solve(prep, Budget()),
+    ),
+}
+
+
+def assert_wrapper_equals_solve(spark, e, df, k, name):
+    """The wrapper's result equals ``solve(Prepared(e, k))``: the same S
+    in the same order and every counter (``visited``, ``n_heap_init``,
+    ``n_recomputes``, ``n_cliques``, ``n_inspected``, ...)."""
+    wrapper, solve = WRAPPERS[name]
+    got = wrapper(spark, df, k)
+    assert got == solve(Prepared(e, k)), name
+    return got
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_hg_spark_equals_numpy(spark, ftb, k):
-    e, df = ftb
-    assert sorted(hg(spark, df, k).S) == sorted(hg_numpy(e, k).S)
+    assert_wrapper_equals_solve(spark, *ftb, k, "hg")
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_gc_spark_equals_numpy(spark, ftb, k):
-    e, df = ftb
-    got = gc(spark, df, k)
-    want = gc_numpy(e, k)
-    assert sorted(got.S) == sorted(want.S)
-    assert got.n_cliques == want.n_cliques
+    assert_wrapper_equals_solve(spark, *ftb, k, "gc")
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_lp_spark_equals_numpy(spark, ftb, k):
-    e, df = ftb
-    got, want = lp(spark, df, k), lp_numpy(e, k)
-    assert sorted(got.S) == sorted(want.S)
-    # HeapInit counts every source's FindMin work on both paths.
-    assert got.visited == want.visited
+    assert_wrapper_equals_solve(spark, *ftb, k, "lp")
+
+
+def test_lp_without_prune_same_result(spark, ftb):
+    """L through its wrapper equals L's ``solve``, and by Theorem 4 has
+    LP's S."""
+    e, _ = ftb
+    got = assert_wrapper_equals_solve(spark, *ftb, 3, "l")
+    assert got.S == lp_numpy(e, 3).S
+
+
+def test_opt_or_status_equals_solve(spark, ftb):
+    assert assert_wrapper_equals_solve(spark, *ftb, 5, "opt").status == "OK"
+
+
+@pytest.mark.parametrize(
+    "edges, k, n_sources",
+    [
+        # A 10-cycle: out-degree <= 2 < k - 1, so no source at all.
+        (np.array(sorted([(i, i + 1) for i in range(9)] + [(0, 9)]), dtype=np.int64), 4, 0),
+        # One 4-clique with a pendant path: a single source.
+        (np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+                  dtype=np.int64), 4, 1),
+    ],
+    ids=["no_sources", "one_source"],
+)
+def test_wrappers_with_few_sources(spark, edges, k, n_sources):
+    """HeapInit and GC's listing loop over no source, or over one: every
+    wrapper still equals ``solve``, and LP keeps one heap row per source
+    that roots a clique."""
+    prep = Prepared(edges, k)
+    assert len(prep.adj.sources(k)) == len(prep.degree_adj.sources(k)) == n_sources
+    df = datasets.edges_to_df(spark, edges)
+    for name in WRAPPERS:
+        assert_wrapper_equals_solve(spark, edges, df, k, name)
+    res = lp_mod.solve(prep)
+    assert (res.size, res.n_heap_init) == (n_sources, n_sources)
+    assert gc_mod.solve(prep).n_cliques == n_sources
 
 
 # ``gc`` selects on the driver and ignores ``driver_threshold``; these
@@ -75,9 +126,9 @@ def test_gc_rounds_then_driver_tail_equal_driver(spark, ftb):
 def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
     """Node ids of eleven digits: the bowtie (two triangles sharing one
     node, equal clique scores) breaks the tie on the member tuple, and
-    Spark GC and OPT, and L/LP on both backends, must break it as GC on
-    the driver does. HG and L/LP mask chosen nodes over dense positions,
-    so none of them allocates an entry per id."""
+    the GC and L/LP wrappers, OPT, and L/LP on edge arrays must break it
+    as GC on the driver does. HG and L/LP mask chosen nodes over dense
+    positions, so none of them allocates an entry per id."""
     bowtie = np.array([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], dtype=np.int64)
     e = bowtie + 9_999_999_998
     df = datasets.edges_to_df(spark, e)
@@ -95,12 +146,11 @@ def test_gc_distributed_rounds_equal_driver_wide_ids(spark):
 
 @pytest.mark.parametrize("kind", ["pp", "plc", "er"])
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_wide_ids_give_the_mapped_solution(spark, kind, k):
+def test_wide_ids_give_the_mapped_solution(kind, k):
     """The algorithms see node ids only at the boundary: relabelling the
     nodes through a random strictly increasing map, with gaps of up to
     about 10^12, gives the mapped S and the same counters (``visited``,
-    ``n_heap_init``, ``n_cliques``, ...) for HG, GC, L, LP and OPT, and
-    for GC and LP also with Spark."""
+    ``n_heap_init``, ``n_cliques``, ...) for HG, GC, L, LP and OPT."""
     e = random_graph(k, 20, kind)
     ids = np.cumsum(np.random.default_rng(k).integers(1, 10**12, size=int(e.max()) + 1))
     wide = ids[e]
@@ -115,20 +165,17 @@ def test_wide_ids_give_the_mapped_solution(spark, kind, k):
         want = solve(Prepared(e, k))
         want = dataclasses.replace(want, S=[tuple(ids[list(c)].tolist()) for c in want.S])
         assert solve(Prepared(wide, k)) == want, name
-        if name in ("GC", "LP"):
-            assert solve(Prepared(wide, k), spark=spark) == want, name
-
-
-def test_lp_without_prune_same_result(spark, ftb):
-    e, df = ftb
-    assert sorted(lp(spark, df, 3, prune=False).S) == sorted(lp_numpy(e, 3).S)
 
 
 @pytest.mark.parametrize("on_spark", [True, False], ids=["spark", "driver"])
 def test_gc_budget_oom(spark, ftb, on_spark):
-    e, _ = ftb
+    """The clique cap stops GC, also through its DataFrame wrapper."""
+    e, df = ftb
     with pytest.raises(SimulatedOOM):
-        gc_mod.solve(Prepared(e, 3), Budget(max_cliques=5), spark if on_spark else None)
+        if on_spark:
+            gc(spark, df, 3, Budget(max_cliques=5))
+        else:
+            gc_mod.solve(Prepared(e, 3), Budget(max_cliques=5))
 
 
 def test_lp_budget_oot(spark, ftb):
@@ -140,75 +187,21 @@ def test_lp_budget_oot(spark, ftb):
 @pytest.mark.parametrize(
     "algo",
     [
-        lambda prep, budget, spark: gc_mod.solve(prep, budget, spark),
-        lambda prep, budget, spark: opt.solve(prep, budget),
-        lambda prep, budget, spark: clique_listing.count_kcliques(prep, budget),
-        lambda prep, budget, spark: gc_mod.solve(prep, budget),
-        lambda prep, budget, spark: lp_mod.solve(prep, budget=budget),
+        lambda spark, df, prep, budget: gc(spark, df, 3, budget),
+        lambda spark, df, prep, budget: opt.solve(prep, budget),
+        lambda spark, df, prep, budget: clique_listing.count_kcliques(prep, budget),
+        lambda spark, df, prep, budget: gc_mod.solve(prep, budget),
+        lambda spark, df, prep, budget: lp_mod.solve(prep, budget=budget),
     ],
     ids=["gc", "opt", "count_kcliques", "gc-driver", "lp-driver"],
 )
 def test_budget_oot_after_driver_count(spark, ftb, algo):
     """The count runs on the driver without checking the clock; the time
-    budget still fires before any clique is listed, also when GC's
-    listing and LP's HeapInit run on the driver."""
-    e, _ = ftb
+    budget still fires before any clique is listed, in GC (also through
+    its DataFrame wrapper), OPT and L/LP."""
+    e, df = ftb
     with pytest.raises(SimulatedOOT):
-        algo(Prepared(e, 3), Budget(max_seconds=-1.0), spark)
-
-
-@pytest.mark.parametrize("algo", [lp, gc], ids=["lp", "gc"])
-def test_budget_oot_inside_spark_tasks(spark, ftb, algo):
-    """A deadline that expires inside the fan-out's tasks fails them on
-    the executors; the failure must come back as ``SimulatedOOT``."""
-
-    class ExpiredWhenShipped(Budget):  # local, so the task pickles it by value
-        """Passes every driver check; the copy the Spark tasks get has
-        its deadline already past."""
-
-        def __getstate__(self):
-            return {**self.__dict__, "deadline": time.time() - 1.0}
-
-    _, df = ftb
-    with pytest.raises(SimulatedOOT, match="from executor"):
-        algo(spark, df, 3, budget=ExpiredWhenShipped(max_seconds=3600))
-
-
-@pytest.mark.parametrize(
-    "edges, k, n_sources",
-    [
-        # A 10-cycle: out-degree <= 2 < k - 1, so no source at all.
-        (np.array(sorted([(i, i + 1) for i in range(9)] + [(0, 9)]), dtype=np.int64), 4, 0),
-        # One 4-clique with a pendant path: a single source, fewer than
-        # cores, so the other slices are empty.
-        (np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
-                  dtype=np.int64), 4, 1),
-    ],
-    ids=["no_sources", "fewer_sources_than_cores"],
-)
-def test_fan_out_edge_cases_equal_numpy(spark, edges, k, n_sources):
-    adj = Prepared(edges, k).degree_adj
-    slices = clique_listing.fan_out(spark, adj, k, lambda srcs, adj: len(srcs))
-    assert len(slices) == spark.sparkContext.defaultParallelism
-    assert sum(slices) == n_sources
-    # Without a session: one slice, every source, on the driver.
-    slices = clique_listing.fan_out(None, adj, k, lambda srcs, adj: srcs)
-    assert slices == [adj.sources(k).tolist()] and len(slices[0]) == n_sources
-    df = datasets.edges_to_df(spark, edges)
-    got, want = lp(spark, df, k), lp_numpy(edges, k)
-    assert (got.S, got.visited, got.n_heap_init) == (want.S, want.visited, want.n_heap_init)
-    got, want = gc(spark, df, k), gc_numpy(edges, k)
-    assert (got.S, got.n_cliques) == (want.S, want.n_cliques)
-
-
-def test_fan_out_deals_sources_evenly(spark):
-    """Slice sizes differ by at most one, also past ``parallelize``'s
-    1024-element serialization batches."""
-    # Leaves 2..20001 ranked above the two hubs: out-degree 2 each.
-    edges = np.array([(h, v) for v in range(2, 20_002) for h in (0, 1)], dtype=np.int64)
-    adj = adj_mod.orient_by_rank(edges, np.arange(20_002), np.arange(20_002))
-    sizes = clique_listing.fan_out(spark, adj, 3, lambda srcs, adj: len(srcs))
-    assert sum(sizes) == 20_000 and max(sizes) - min(sizes) <= 1
+        algo(spark, df, Prepared(e, 3), Budget(max_seconds=-1.0))
 
 
 def test_opt_fig2_is_maximum():
@@ -255,16 +248,16 @@ def test_clique_graph_fig2():
 
 
 def test_clique_scores_spark_match_driver(spark, ftb, monkeypatch):
-    """GC on Spark scores every clique once, with s_c = the sum of the
-    driver's node scores (``Prepared.scores``) over its members; both
-    are keyed by position."""
-    e, _ = ftb
+    """GC through its DataFrame wrapper scores every clique once, with
+    s_c = the sum of the node scores (``Prepared.scores``) of the same
+    edges over its members; both are keyed by position."""
+    e, df = ftb
     k = 3
     scored = []
     select = gc_mod.greedy_by_score
     monkeypatch.setattr(gc_mod, "greedy_by_score", lambda rows: select(scored.extend(rows) or rows))
     prep = Prepared(e, k)
-    gc_mod.solve(prep, spark=spark)
+    gc(spark, df, k)
     cliques = prep.to_ids(c for _, c in scored)
     assert set(cliques) == validate.brute_force_all_kcliques(e, k)
     assert len(cliques) == len(set(cliques))

@@ -1,5 +1,7 @@
-"""Spark listing/counting substrate vs brute force and the DuckDB
-oracle — an independent engine checks the distributed pipeline."""
+"""Clique listing and counting vs brute force, and a Spark DataFrame of
+their output vs the DuckDB oracle — an independent engine checks the
+listing; the join-based Spark listing and ``df_to_edges`` are checked
+too."""
 from collections import Counter
 
 import numpy as np
@@ -22,10 +24,10 @@ def ftb(spark):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_list_kcliques_matches_brute(spark, ftb, k):
+def test_list_kcliques_matches_brute(ftb, k):
     e, _ = ftb
     prep = Prepared(e, k)
-    got = prep.to_ids(clique_listing.list_kcliques(prep, spark=spark))
+    got = prep.to_ids(clique_listing.list_kcliques(prep))
     assert len(got) == len(set(got))
     assert set(got) == validate.brute_force_all_kcliques(e, k)
 
@@ -57,11 +59,12 @@ def test_node_scores_match_kernel_counts(ftb):
 
 
 def test_triangle_count_against_duckdb_oracle(spark, ftb):
-    """Independent-engine check: our Spark triangle listing count ==
-    DuckDB's SQL self-join triangle count over the same edge table."""
+    """Independent-engine check: our triangle listing, counted as a Spark
+    DataFrame == DuckDB's SQL self-join triangle count over the same edge
+    table."""
     e, _ = ftb
     prep = Prepared(e, 3)
-    triangles = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
+    triangles = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep)))
     spark_count = triangles.groupBy().count().withColumnRenamed("count", "n_triangles")
     assert_equivalent(
         spark_count,
@@ -110,7 +113,7 @@ def test_four_clique_count_against_duckdb_oracle(spark):
     """k=4 counting cross-checked in SQL on a smaller graph."""
     e = random_graph(2, 30, "pp")
     prep = Prepared(e, 4)
-    cliques = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
+    cliques = spark.createDataFrame(prep.to_ids(clique_listing.list_kcliques(prep)))
     cnt = cliques.groupBy().count().withColumnRenamed("count", "n4")
     assert_equivalent(
         cnt,
@@ -127,10 +130,10 @@ def test_four_clique_count_against_duckdb_oracle(spark):
     )
 
 
-def test_member_columns_sorted_ascending(spark, ftb):
+def test_member_columns_sorted_ascending(ftb):
     e, _ = ftb
     prep = Prepared(e, 4)
-    arr = np.array(prep.to_ids(clique_listing.list_kcliques(prep, spark=spark)))
+    arr = np.array(prep.to_ids(clique_listing.list_kcliques(prep)))
     assert (np.diff(arr, axis=1) > 0).all()
 
 
@@ -145,9 +148,9 @@ def test_oriented_edges_form_dag(ftb):
     assert len(arcs) == len(e)
 
 
-def test_fig2_spark_listing(spark):
+def test_fig2_spark_listing():
     e = paper_fig2_edges()
-    assert len(clique_listing.list_kcliques(Prepared(e, 3), spark=spark)) == 7
+    assert len(clique_listing.list_kcliques(Prepared(e, 3))) == 7
 
 
 def test_df_to_edges_canonical(spark, ftb):

@@ -20,8 +20,8 @@ def test_table1_budget_produces_oot():
     assert df.iloc[0]["k=3"] == "OOT"
 
 
-def test_table2_rows_and_deltas(spark):
-    df = table2.run(spark, names=["FTB"], ks=(3,), algos=("HG", "GC", "LP"))
+def test_table2_rows_and_deltas():
+    df = table2.run(names=["FTB"], ks=(3,), algos=("HG", "GC", "LP"))
     row = df.iloc[0]
     assert int(row["HG"]) > 0
     assert int(row["GC"]) == int(row["HG"]) + int(row["GC_delta"])
@@ -30,31 +30,29 @@ def test_table2_rows_and_deltas(spark):
     assert int(row["GC"]) == int(row["LP"])
 
 
-def test_table2_oom_cell(spark):
-    df = table2.run(
-        spark, names=["FTB"], ks=(3,), algos=("HG", "GC"), max_cliques=2
-    )
+def test_table2_oom_cell():
+    df = table2.run(names=["FTB"], ks=(3,), algos=("HG", "GC"), max_cliques=2)
     assert df.iloc[0]["GC"] == "OOM"
 
 
-def test_table3_space_proxies(spark):
-    t2 = table2.run(spark, names=["FTB"], ks=(3,), algos=("HG", "GC", "LP"))
+def test_table3_space_proxies():
+    t2 = table2.run(names=["FTB"], ks=(3,), algos=("HG", "GC", "LP"))
     t3 = table3.space_rows(t2)
     row = t3.iloc[0]
     assert row["GC_MB"] > row["HG_MB"], "GC must pay for materialized cliques"
     assert row["LP_MB"] >= row["HG_MB"]
 
 
-def test_table4_error_ratio(spark):
-    df = table4.run(spark, names=["Swallow"], ks=(3, 4))
+def test_table4_error_ratio():
+    df = table4.run(names=["Swallow"], ks=(3, 4))
     assert (df["LP"] >= 0).all()
     ok = df[df["OPT"].apply(lambda x: str(x).isdigit())]
     for _, r in ok.iterrows():
         assert int(r["OPT"]) >= int(r["LP"])  # exact is an upper bound
 
 
-def test_synthetic_tables(spark):
-    df = synthetic.run(spark, n=120, degrees=(8,), ks=(3,))
+def test_synthetic_tables():
+    df = synthetic.run(n=120, degrees=(8,), ks=(3,))
     assert len(df) == 1
     t5, t6 = synthetic.table5(df), synthetic.table6(df)
     assert "t_GC(s)" in t5.columns and "GC_delta" in t6.columns

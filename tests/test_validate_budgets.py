@@ -1,23 +1,17 @@
 """Validation-oracle and budget-machinery tests."""
-import pickle
 import time
 
 import numpy as np
 import pytest
 
+from repro.core import gc as gc_mod
+from repro.core import kernels
 from repro.core import lp as lp_mod
 from repro.core import validate
 from repro.core.clique_listing import list_kcliques
 from repro.core.mis import exact_mis
 from repro.core.prepare import Prepared
-from repro.core.budgets import (
-    Budget,
-    OOM_MARKER,
-    OOT_MARKER,
-    SimulatedOOM,
-    SimulatedOOT,
-    translate_spark_error,
-)
+from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
 from repro.graphs import adjacency as adj_mod
 
 from tests.helpers import TripBudget, paper_fig2_edges, random_graph
@@ -104,14 +98,17 @@ def test_budget_unbounded_noops():
 
 
 def test_budget_deadline_set_at_construction_and_shipped():
-    """The deadline is one epoch time, stamped at construction; a pickled
-    copy, as a Spark task gets it, checks the same deadline."""
-    t0 = time.time()
+    """The deadline is one ``time.monotonic()`` reading, stamped at
+    construction: a budget made now runs out ``max_seconds`` later,
+    however late its first check comes."""
+    t0 = time.monotonic()
     b = Budget(max_seconds=60)
-    assert t0 + 60 <= b.deadline <= time.time() + 60
-    assert pickle.loads(pickle.dumps(b)).deadline == b.deadline
+    assert t0 + 60 <= b.deadline <= time.monotonic() + 60
+    b.check_time()
+    expired = Budget(max_seconds=0.01)
+    time.sleep(0.02)
     with pytest.raises(SimulatedOOT):
-        pickle.loads(pickle.dumps(Budget(max_seconds=-1.0))).check_time()
+        expired.check_time()
 
 
 def test_listing_checks_the_budget_once_per_source():
@@ -143,8 +140,44 @@ def test_lp_checks_the_budget_in_calculation(prune):
     assert lp_mod.solve(prep, prune, TripBudget(trip_at=counted.calls + 1)) == want
 
 
-def test_translate_spark_error():
-    assert isinstance(translate_spark_error(RuntimeError(f"x {OOM_MARKER} y")), SimulatedOOM)
-    assert isinstance(translate_spark_error(RuntimeError(f"x {OOT_MARKER} y")), SimulatedOOT)
-    e = ValueError("unrelated")
-    assert translate_spark_error(e) is e
+
+def _counting(monkeypatch, name):
+    """Wrap ``kernels.<name>`` so that the list it returns grows by one
+    entry, the ``valid`` argument, per call."""
+    calls = []
+    kernel = getattr(kernels, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[4] if len(args) > 4 else kwargs.get("valid"))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("phase", ["heap_init", "recompute", "listing"])
+def test_budget_oot_mid_loop(monkeypatch, phase):
+    """A deadline that runs out after the first source stops each
+    per-source loop there: the clock check before the second source (or
+    the second recompute) raises, after exactly one kernel call of that
+    loop. Every check before the loop passes."""
+    prep = Prepared(random_graph(2, 48, "plc"), 4)
+    n_sources = len(prep.adj.sources(4))
+    assert n_sources > 1 and len(prep.degree_adj.sources(4)) > 1
+    if phase == "listing":
+        calls = _counting(monkeypatch, "enumerate_from_source")
+        # Check 1 follows GC's count; checks 2, 3, ... precede each source.
+        with pytest.raises(SimulatedOOT):
+            gc_mod.solve(prep, TripBudget(trip_at=3))
+        assert len(calls) == 1
+        return
+    assert lp_mod.solve(prep).n_recomputes > 1
+    calls = _counting(monkeypatch, "find_min_clique")
+    # Check 1 precedes HeapInit, checks 2..n_sources + 1 its sources and
+    # the later ones each Calculation recompute.
+    first_of_loop = 2 if phase == "heap_init" else 2 + n_sources
+    with pytest.raises(SimulatedOOT):
+        lp_mod.solve(prep, True, TripBudget(trip_at=first_of_loop + 1))
+    in_loop = [v for v in calls if (v is None) == (phase == "heap_init")]
+    assert len(in_loop) == 1
+    assert len(calls) == (1 if phase == "heap_init" else n_sources + 1)
