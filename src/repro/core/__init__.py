@@ -9,8 +9,10 @@ Modules:
 - ``clique_listing`` — k-clique listing (GC, OPT) and Table I's count.
 - ``scores``       — an unused DataFrame-to-dict helper that
                      ``perfbench`` still looks up.
-- ``clique_graph`` — condensed clique graph (Def. 2), built on the driver.
-- ``mis``          — exact maximum independent set (for OPT).
+- ``clique_graph`` — condensed clique graph (Def. 2): one neighbour mask
+                     per clique, built on the driver.
+- ``mis``          — exact maximum independent set over neighbour masks
+                     (for OPT).
 - ``opt``          — OPT pipeline on the driver: clique graph + exact MIS.
 - ``hg``           — Algorithm 1, the basic framework.
 - ``gc``           — Algorithm 2, greedy by ascending clique score.

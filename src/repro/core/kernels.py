@@ -215,8 +215,7 @@ def find_min_clique(
     k: int,
     valid: np.ndarray | None = None,
     prune: bool = True,
-    stats: dict | None = None,
-) -> tuple[int, tuple[int, ...]] | None:
+) -> tuple[int, tuple[int, tuple[int, ...]] | None]:
     """Algorithm 3's ``FindMin``: the minimum-clique-score k-clique
     rooted at ``source``, with the score-driven pruning strategy;
     ``scores[p]`` is the node score of position ``p``.
@@ -227,24 +226,21 @@ def find_min_clique(
     score strictly exceeds the best score (a tie could still win on the
     member tuple), which preserves exactness of the minimum.
 
-    Returns ``(clique_score, members)`` or None. ``stats['visited']``
-    counts recursion candidates, to measure what pruning saves (L = no
-    pruning vs LP = pruning; paper Fig. 6's L-vs-LP gap).
+    Returns ``(visited, found)``: ``found`` is ``(clique_score,
+    members)`` or None, and ``visited`` counts recursion candidates, to
+    measure what pruning saves (L = no pruning vs LP = pruning; paper
+    Fig. 6's L-vs-LP gap).
     """
     loc = _local(adj, source, valid, k - 1)
     if loc is None:
-        return None
+        return 0, None
     nb, masks, cand = loc
     ids = nb.tolist()
     local_scores = [scores[p] for p in ids]
     best: list = [None, None]  # [score, members]
     visited = _min_rec(ids, masks, local_scores, cand, k - 1, (source,), scores[source], best,
                        prune)
-    if stats is not None:
-        stats["visited"] = stats.get("visited", 0) + visited
-    if best[0] is None:
-        return None
-    return best[0], best[1]
+    return visited, (tuple(best) if best[0] is not None else None)
 
 
 def _min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):

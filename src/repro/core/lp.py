@@ -52,15 +52,39 @@ def solve(
     prune: bool = True,
     budget: Budget | None = None,
 ) -> LPResult:
-    """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
+    """Run Algorithm 3 (LP when ``prune``, L otherwise).
+
+    ``Calculation`` (lines 31-39) is the loop below, with S as position
+    tuples; ``visited`` starts from HeapInit's count.
+    """
     k = prep.k
     adj, scores = prep.adj, prep.scores.tolist()
     budget = budget or Budget()
     budget.check_time()
-    heap_rows, visited = _heap_init(adj.sources(k).tolist(), adj, scores, k, prune, budget)
-    res = _calculation(adj, scores, heap_rows, visited, k, prune, budget)
-    res.S = prep.to_ids(res.S)
-    return res
+    heap, visited = _heap_init(adj.sources(k).tolist(), adj, scores, k, prune, budget)
+    n_heap_init = len(heap)
+    heapq.heapify(heap)
+    valid = np.ones(adj.n, dtype=bool)
+    S: list[tuple[int, ...]] = []
+    recomputes = 0
+    while heap:
+        _, members, src = heapq.heappop(heap)
+        at = list(members)
+        if valid[at].all():
+            S.append(members)
+            valid[at] = False
+            continue
+        # Stale entry: its source may still root other cliques.
+        if not valid[src]:
+            continue
+        budget.check_time()
+        recomputes += 1
+        seen, got = kernels.find_min_clique(adj, scores, src, k, valid, prune)
+        visited += seen
+        if got is not None:
+            heapq.heappush(heap, (*got, src))
+    return LPResult("OK", prep.to_ids(S), n_heap_init=n_heap_init, n_recomputes=recomputes,
+                    visited=visited)
 
 
 def _heap_init(
@@ -78,48 +102,11 @@ def _heap_init(
     visited = 0
     for u in sources:
         budget.check_time()
-        st: dict = {}
-        got = kernels.find_min_clique(adj, scores, u, k, None, prune, st)
-        visited += st.get("visited", 0)
+        seen, got = kernels.find_min_clique(adj, scores, u, k, None, prune)
+        visited += seen
         if got is not None:
-            rows.append((got[0], got[1], u))
+            rows.append((*got, u))
     return rows, visited
-
-
-def _calculation(
-    adj: Oriented,
-    scores: list[int],
-    heap_rows: list[tuple[int, tuple[int, ...], int]],
-    visited: int,
-    k: int,
-    prune: bool,
-    budget: Budget,
-) -> LPResult:
-    """Driver ``Calculation`` (Algorithm 3 lines 31-39), with S as
-    position tuples; ``visited`` starts from HeapInit's count."""
-    heap = list(heap_rows)
-    heapq.heapify(heap)
-    valid = np.ones(adj.n, dtype=bool)
-    S: list[tuple[int, ...]] = []
-    recomputes = 0
-    while heap:
-        score, members, src = heapq.heappop(heap)
-        at = list(members)
-        if valid[at].all():
-            S.append(members)
-            valid[at] = False
-            continue
-        # Stale entry: its source may still root other cliques.
-        if not valid[src]:
-            continue
-        budget.check_time()
-        recomputes += 1
-        st: dict = {}
-        got = kernels.find_min_clique(adj, scores, src, k, valid, prune, st)
-        visited += st.get("visited", 0)
-        if got is not None:
-            heapq.heappush(heap, (got[0], got[1], src))
-    return LPResult("OK", S, n_heap_init=len(heap_rows), n_recomputes=recomputes, visited=visited)
 
 
 def lp(

@@ -6,10 +6,10 @@ branch-and-bound with degree-0/1 reductions — exact, and sufficient for
 the small clique graphs where OPT finishes at all (the paper's OPT is
 OOT/OOM beyond tiny inputs, which our time budget reproduces).
 
-Bitsets: vertex ``i`` is the i-th key in insertion order and ``nbr[i]``
-is its neighbour mask, a Python int. A search node is just the mask of
-``live`` vertices, the mask of ``chosen`` ones and their count, so
-branching copies nothing; degrees are ``(nbr[i] & live).bit_count()``.
+Bitsets: vertex ``i`` is entry ``i`` of ``nbr``, its neighbour mask, a
+Python int. A search node is just the mask of ``live`` vertices, the
+mask of ``chosen`` ones and their count, so branching copies nothing;
+degrees are ``(nbr[i] & live).bit_count()``.
 
 Bounds: a node is pruned when ``|chosen| + |live|`` cannot beat the
 incumbent, or when a greedy clique cover of ``live`` (San Segundo et
@@ -27,30 +27,23 @@ on the reductions, the branch rule and the branch order.
 """
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Set
-
 from repro.core.budgets import Budget
 
 
-def exact_mis(
-    adj: Mapping[Hashable, Set[Hashable]], budget: Budget | None = None
-) -> set:
-    """Exact maximum independent set of the graph given as an
-    adjacency dict (isolated nodes must appear with empty sets).
+def exact_mis(nbr: list[int], budget: Budget | None = None) -> list[int]:
+    """Exact maximum independent set of the graph whose vertex ``i`` has
+    neighbour mask ``nbr[i]``, as its vertices in ascending order.
 
-    Branch-and-bound: sweep degree-0/1 nodes in insertion order until
-    none is left (always safe to take), then branch on the live node
-    with the largest (degree, key) — first take it and drop its
+    Branch-and-bound: sweep degree-0/1 vertices in ascending order until
+    none is left (always safe to take), then branch on the live vertex
+    with the largest (degree, index) — first take it and drop its
     neighbours, then exclude it. Raises ``SimulatedOOT`` via the budget
     on overrun.
     """
-    keys = list(adj)
-    index = {u: i for i, u in enumerate(keys)}
-    nbr = [sum(1 << index[w] for w in adj[u]) for u in keys]
     best_count, best_mask = 0, 0
     # Pending nodes (live, chosen, count); the take child is pushed last
     # so it is walked first.
-    stack = [((1 << len(keys)) - 1, 0, 0)]
+    stack = [((1 << len(nbr)) - 1, 0, 0)]
     while stack:
         live, chosen, count = stack.pop()
         if budget is not None:
@@ -73,7 +66,7 @@ def exact_mis(
                     live &= ~(bit | nb)
                     continue
                 d = nb.bit_count()
-                if d > deg or d == deg and keys[i] > keys[v]:
+                if d >= deg:  # the sweep ascends: ties go to the later vertex
                     deg, v = d, i
             if live == swept:
                 break
@@ -87,7 +80,7 @@ def exact_mis(
         bit = 1 << v
         stack.append((live & ~bit, chosen, count))
         stack.append((live & ~(bit | nbr[v]), chosen | bit, count + 1))
-    return {u for i, u in enumerate(keys) if best_mask >> i & 1}
+    return [i for i in range(len(nbr)) if best_mask >> i & 1]
 
 
 def _clique_cover_within(live: int, nbr: list[int], limit: int) -> bool:

@@ -6,9 +6,9 @@ impractical: (i) list all k-cliques, (ii) build the clique graph,
 :class:`~repro.core.prepare.Prepared` — exact MIS needs the whole
 clique graph on one machine anyway — under a Budget that reproduces
 the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
-MIS) cells. The MIS vertices are the cliques' sorted member tuples,
-inserted in ascending order; they hold positions, which rise with node
-id, so the order and every tie-break are those of id tuples.
+MIS) cells. MIS vertex ``i`` is the ``i``-th clique in ascending order
+of its sorted member tuple; the tuples hold positions, which rise with
+node id, so the order and every tie-break are those of id tuples.
 """
 from __future__ import annotations
 
@@ -52,16 +52,16 @@ def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
         # (Table III).
         budget.check_count(sum(s * (s - 1) // 2 for s in scores))
         budget.check_time()
-    # exact_mis numbers the vertices and sweeps its reductions in insertion
-    # order, and breaks branch ties by (degree, vertex), so S depends on the
-    # insertion order: insert the sorted tuples.
-    adj = clique_graph(sorted(clique_listing.list_kcliques(prep, budget)))
-    n_edges = sum(map(len, adj.values())) // 2
+    # exact_mis sweeps its reductions in vertex order and breaks branch ties
+    # by (degree, vertex), so S depends on the order: number the sorted tuples.
+    cliques = sorted(clique_listing.list_kcliques(prep, budget))
+    nbr = clique_graph(cliques)
+    n_edges = sum(m.bit_count() for m in nbr) // 2
     if budget is not None:
         budget.check_count(n_edges)
         budget.check_time()
-    S = prep.to_ids(sorted(exact_mis(adj, budget=budget)))
-    return OptResult("OK", S, n_cliques=len(adj), n_cg_edges=n_edges)
+    S = prep.to_ids([cliques[i] for i in exact_mis(nbr, budget=budget)])
+    return OptResult("OK", S, n_cliques=len(cliques), n_cg_edges=n_edges)
 
 
 def opt_or_status(

@@ -36,7 +36,7 @@ def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
 
 def build_index(state: DynamicState) -> None:
     """Driver-side Algorithm 5: recompute the whole candidate index."""
-    for c in state.S:
+    for c in list(state.cand):
         state.cand[c] = candidates_for(state, c)
 
 

@@ -4,7 +4,8 @@ Holds the current graph (adjacency sets), the solution S, the
 node -> clique assignment, static node scores (the selection heuristic
 for swaps), and the candidate-clique index of Algorithm 5:
 ``cand[C]`` is the set of candidate k-cliques whose non-free nodes all
-belong to ``C`` (the paper's strict candidate constraint).
+belong to ``C`` (the paper's strict candidate constraint). Every clique
+of S owns an entry, so S is the view ``cand.keys()``.
 
 Cliques are canonically identified by their sorted member tuple.
 """
@@ -27,12 +28,15 @@ def canon(members) -> Clique:
 class DynamicState:
     k: int
     adj: dict[int, set[int]]
-    S: set[Clique] = field(default_factory=set)
     node2c: dict[int, Clique] = field(default_factory=dict)
     cand: dict[Clique, set[Clique]] = field(default_factory=dict)
     scores: dict[int, int] = field(default_factory=dict)
 
     # -- basic queries ----------------------------------------------------
+    @property
+    def S(self):
+        return self.cand.keys()
+
     def is_free(self, u: int) -> bool:
         return u not in self.node2c
 
@@ -51,17 +55,15 @@ class DynamicState:
     def add_to_S(self, members) -> Clique:
         c = canon(members)
         assert all(self.is_free(v) for v in c), f"{c} overlaps S"
-        self.S.add(c)
         for v in c:
             self.node2c[v] = c
         self.cand.setdefault(c, set())
         return c
 
     def remove_from_S(self, c: Clique) -> None:
-        self.S.remove(c)
+        del self.cand[c]
         for v in c:
             del self.node2c[v]
-        self.cand.pop(c, None)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())

@@ -188,13 +188,3 @@ def _planted_partition(
     keep = g.random(len(iu)) < prob
     return _canonical(np.stack([iu[keep], iv[keep]], axis=1))
 
-
-def degree_array(edges: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Per-node degree from a canonical edge array."""
-    if n is None:
-        n = int(edges.max()) + 1 if len(edges) else 0
-    deg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        np.add.at(deg, edges[:, 0], 1)
-        np.add.at(deg, edges[:, 1], 1)
-    return deg

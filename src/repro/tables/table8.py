@@ -7,10 +7,10 @@ W = min(10_000, m // 10) scaled to our datasets:
   against building from scratch on G - A;
 - insertion: starting from G - A, re-insert A; compare against
   from-scratch on G;
-- mixed: sample a second disjoint set B of W edges, start from G - B,
-  apply a random interleaving of {delete A, insert B}; compare against
-  from-scratch on the final graph G - A + B... = G - A ∪ B's
-  complement — i.e. (G \\ A) ∪ B = G - A.
+- mixed: sample a second set B of W edges, disjoint from A, start from
+  G - B, apply a random interleaving of {delete A, insert B}; the run
+  ends at (G - B) - A + B = G - A, so compare against from-scratch on
+  G - A.
 
 Each cell also reports the mean per-update latency in microseconds —
 the quantity the paper plots in Fig. 7.
@@ -90,7 +90,7 @@ def run(
             ]
             perm = np.random.default_rng(seed + 1).permutation(len(ops))
             lat = _apply(st, [ops[i] for i in perm])
-            row["mix_delta"] = len(st.S) - lp.solve(Prepared(_minus(e, A), k)).size
+            row["mix_delta"] = len(st.S) - lp.solve(Prepared(e_minus_a, k)).size
             row["mix_us"] = round(lat * 1e6, 1)
             rows.append(row)
             print(pd.DataFrame([row]).to_string(index=False))

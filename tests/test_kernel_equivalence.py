@@ -95,14 +95,13 @@ def test_find_min_and_visited_match_reference(seed, kind, k):
     for valid in _masks(e, seed):
         for prune in (True, False):
             for p in range(t.n):
-                st_got: dict = {}
                 st_want: dict = {}
-                got = kernels.find_min_clique(t, at, p, k, _at(t, valid), prune, st_got)
+                visited, got = kernels.find_min_clique(t, at, p, k, _at(t, valid), prune)
                 want = H.ref_find_min_clique(adj, scores, int(t.nodes[p]), k, valid, prune, st_want)
                 if got is not None:
                     got = (got[0], H.to_ids(t.nodes, [got[1]])[0])
                 assert got == want
-                assert st_got.get("visited", 0) == st_want.get("visited", 0)
+                assert visited == st_want.get("visited", 0)
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -281,9 +280,9 @@ def _kernel_results(t, k, scores, valid):
         kernels.count_from_source(t, p, k, counts)
         kernels.enumerate_from_source(t, p, k, valid, out=listed)
         first.append(kernels.find_first_clique(t, p, k, valid))
-        st: dict = {}
-        best.append(kernels.find_min_clique(t, scores, p, k, valid, True, st))
-        visited += st.get("visited", 0)
+        seen, got = kernels.find_min_clique(t, scores, p, k, valid, True)
+        best.append(got)
+        visited += seen
     return (counts, listed, first, best), visited
 
 
@@ -371,14 +370,11 @@ def test_lp_visited_counts_every_source(monkeypatch):
     calls = {"visited": 0, "empty": 0}
     find_min = kernels.find_min_clique
 
-    def counted(adj, scores, source, k, valid=None, prune=True, stats=None):
-        st: dict = {}
-        got = find_min(adj, scores, source, k, valid, prune, st)
-        calls["visited"] += st.get("visited", 0)
-        calls["empty"] += got is None and st.get("visited", 0) > 0
-        if stats is not None:
-            stats["visited"] = stats.get("visited", 0) + st.get("visited", 0)
-        return got
+    def counted(adj, scores, source, k, valid=None, prune=True):
+        visited, got = find_min(adj, scores, source, k, valid, prune)
+        calls["visited"] += visited
+        calls["empty"] += got is None and visited > 0
+        return visited, got
 
     monkeypatch.setattr(kernels, "find_min_clique", counted)
     res = lp_numpy(e, 5)

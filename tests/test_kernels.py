@@ -132,7 +132,7 @@ def test_find_min_is_exact_minimum(seed, k, prune):
             ((sum(scores[v] for v in c), c) for c in exhaustive),
             default=None,
         )
-        got = kernels.find_min_clique(adj, scores, u, k, prune=prune)
+        _, got = kernels.find_min_clique(adj, scores, u, k, prune=prune)
         assert got == want
 
 
@@ -142,9 +142,7 @@ def test_find_min_pruning_reduces_visits():
     visited = {True: 0, False: 0}
     for prune in (True, False):
         for u in range(adj.n):
-            st: dict = {}
-            kernels.find_min_clique(adj, scores, u, 4, prune=prune, stats=st)
-            visited[prune] += st.get("visited", 0)
+            visited[prune] += kernels.find_min_clique(adj, scores, u, 4, prune=prune)[0]
     assert visited[True] <= visited[False]
     assert visited[False] > 0
 

@@ -22,6 +22,17 @@ def _cliques(e, k):
     return prep.to_ids(list_kcliques(prep))
 
 
+def _masks(adj: dict) -> list[int]:
+    """``adj`` as neighbour masks, vertex ``i`` being its ``i``-th key."""
+    index = {u: i for i, u in enumerate(adj)}
+    return [sum(1 << index[w] for w in adj[u]) for u in adj]
+
+
+def _keyed(nbr: list[int]) -> dict:
+    """The graph of ``nbr`` as the reference solver's input, keyed 0..n-1."""
+    return {i: {j for j in range(len(nbr)) if m >> j & 1} for i, m in enumerate(nbr)}
+
+
 def _brute_mis_size(adj: dict) -> int:
     nodes = sorted(adj)
     best = 0
@@ -36,49 +47,40 @@ def _brute_mis_size(adj: dict) -> int:
     return best
 
 
-def _is_independent(adj, chosen) -> bool:
-    return all(not (adj[u] & chosen) for u in chosen)
+def _is_independent(nbr, chosen) -> bool:
+    return all(not nbr[u] >> v & 1 for u in chosen for v in chosen)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_mis_matches_brute_force(seed):
     e = random_graph(seed, 14, "er")
-    adj = {u: set(nb) for u, nb in adj_mod.adj_sets(e).items()}
-    got = exact_mis(adj)
-    assert _is_independent(adj, got)
-    assert len(got) == _brute_mis_size(adj)
+    nbr = _masks(adj_mod.adj_sets(e))
+    got = exact_mis(nbr)
+    assert _is_independent(nbr, got)
+    assert len(got) == _brute_mis_size(_keyed(nbr))
 
 
 def test_exact_mis_empty_graph():
-    assert exact_mis({}) == set()
+    assert exact_mis([]) == []
 
 
 def test_exact_mis_isolated_nodes_all_chosen():
-    adj = {1: set(), 2: set(), 3: set()}
-    assert exact_mis(adj) == {1, 2, 3}
+    assert exact_mis([0, 0, 0]) == [0, 1, 2]
 
 
 def test_exact_mis_triangle():
-    adj = {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
-    assert len(exact_mis(adj)) == 1
+    assert len(exact_mis([0b110, 0b101, 0b011])) == 1
 
 
 def test_exact_mis_path():
-    # Path 1-2-3-4-5: MIS = {1,3,5}.
-    adj = {1: {2}, 2: {1, 3}, 3: {2, 4}, 4: {3, 5}, 5: {4}}
-    assert len(exact_mis(adj)) == 3
-
-
-def test_exact_mis_string_keys():
-    adj = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
-    assert exact_mis(adj) == {"a", "c"}
+    # Path 0-1-2-3-4: MIS = {0, 2, 4}.
+    assert exact_mis([0b10, 0b101, 0b1010, 0b10100, 0b1000]) == [0, 2, 4]
 
 
 def test_exact_mis_budget_timeout():
     e = random_graph(1, 60, "er")
-    adj = {u: set(nb) for u, nb in adj_mod.adj_sets(e).items()}
     with pytest.raises(SimulatedOOT):
-        exact_mis(adj, budget=Budget(max_seconds=-1.0))
+        exact_mis(_masks(adj_mod.adj_sets(e)), budget=Budget(max_seconds=-1.0))
 
 
 # ---- the bitset solver returns the reference solver's set exactly ----
@@ -98,26 +100,29 @@ def _random_adj(seed: int, key=lambda v: v) -> dict:
     return adj
 
 
+def _assert_equals_reference(nbr: list[int]) -> None:
+    assert exact_mis(nbr) == sorted(ref_exact_mis(_keyed(nbr)))
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_exact_mis_equals_reference_shuffled_order(seed):
-    adj = _random_adj(seed)
-    assert exact_mis(adj) == ref_exact_mis(adj)
+    # Vertex i is the i-th key inserted, so the numbering is a shuffle
+    # of the generator's ids.
+    _assert_equals_reference(_masks(_random_adj(seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_exact_mis_equals_reference_tuple_keys(seed):
     # Key order (by residue, then descending id) is neither the
-    # insertion order nor the id order.
-    adj = _random_adj(1000 + seed, key=lambda v: (v % 3, -v))
-    assert exact_mis(adj) == ref_exact_mis(adj)
+    # insertion order nor the id order; vertices follow the insertion.
+    _assert_equals_reference(_masks(_random_adj(1000 + seed, key=lambda v: (v % 3, -v))))
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["pp", "plc", "er"])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_exact_mis_equals_reference_on_clique_graphs(seed, kind, k):
-    cg = clique_graph(sorted(_cliques(random_graph(seed, 20, kind), k)))
-    assert exact_mis(cg) == ref_exact_mis(cg)
+    _assert_equals_reference(clique_graph(sorted(_cliques(random_graph(seed, 20, kind), k))))
 
 
 def test_exact_mis_budget_trips_deep_in_search():
@@ -136,7 +141,8 @@ def test_exact_mis_budget_trips_deep_in_search():
 def test_exact_mis_finishes_table4_cells(name, k, size):
     """Table IV cells the dict-of-sets solver left OOT under 30 s."""
     e = datasets.edges(name)
-    S = exact_mis(clique_graph(sorted(_cliques(e, k))), Budget(max_seconds=30))
+    cliques = sorted(_cliques(e, k))
+    S = [cliques[i] for i in exact_mis(clique_graph(cliques), Budget(max_seconds=30))]
     assert len(S) == size
     assert all(not set(a) & set(b) for a, b in itertools.combinations(S, 2))
     assert len(S) >= lp_numpy(e, k).size

@@ -65,7 +65,8 @@ def test_brute_force_max_disjoint_equals_clique_graph_mis(seed, kind, k):
     set of the clique graph (cliques adjacent iff they share a node)."""
     e = random_graph(seed, 20, kind)
     cliques = sorted(validate.brute_force_all_kcliques(e, k))
-    cg = {c: {d for d in cliques if d != c and set(c) & set(d)} for c in cliques}
+    cg = [sum(1 << j for j, d in enumerate(cliques) if d != c and set(c) & set(d))
+          for c in cliques]
     assert validate.brute_force_max_disjoint(e, k) == len(exact_mis(cg))
 
 
