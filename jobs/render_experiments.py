@@ -126,7 +126,7 @@ def main() -> None:
         "OR k=3); OPT OOT/OOM beyond tiny inputs; HG fastest, LP ~2x faster "
         "than GC. GC's OOM cells appear at full paper scale; our Table II "
         "graphs fit under the 3M-clique budget (the OOM path fires in "
-        "Table V at degree 64 and is exercised in tests/benchmarks).\n"
+        "Table V at degree 64 and is exercised in tests).\n"
     )
 
     # ---- Table III -----------------------------------------------------

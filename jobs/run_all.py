@@ -2,7 +2,7 @@
 write one CSV per table into results/.
 
 Usage: python jobs/run_all.py [phase ...]   (default: all phases)
-Phases: t1 t2 t4 t5 t7 t8
+Phases: t1 t2 t4 t5 t7 t8 (t2 also writes Table III, t5 Table VI)
 """
 import os
 import sys
@@ -11,11 +11,15 @@ import time
 from repro.tables import synthetic, table1, table2, table3, table4, table7, table8
 
 RESULTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
-os.makedirs(RESULTS, exist_ok=True)
+PHASES = ("t1", "t2", "t4", "t5", "t7", "t8")
 
 
 def main() -> None:
-    phases = sys.argv[1:] or ["t1", "t2", "t4", "t5", "t7", "t8"]
+    phases = sys.argv[1:] or list(PHASES)
+    unknown = [p for p in phases if p not in PHASES]
+    if unknown:
+        sys.exit(f"unknown phase {' '.join(unknown)}; valid phases: {' '.join(PHASES)}")
+    os.makedirs(RESULTS, exist_ok=True)
     t0 = time.time()
     if "t1" in phases:
         df = table1.run(max_seconds=120.0)
@@ -42,7 +46,7 @@ def main() -> None:
         df.to_csv(f"{RESULTS}/table7.csv", index=False)
         print(f"[t7 done {time.time()-t0:.0f}s]", flush=True)
     if "t8" in phases:
-        df = table8.run(names=["FTB", "HST", "FBP"], workload=None)
+        df = table8.run(names=["FTB", "HST", "FBP"])
         df.to_csv(f"{RESULTS}/table8.csv", index=False)
         print(f"[t8 done {time.time()-t0:.0f}s]", flush=True)
     print(f"ALL DONE in {time.time()-t0:.0f}s")

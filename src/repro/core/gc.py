@@ -26,7 +26,6 @@ from repro.graphs import datasets
 
 @dataclass
 class GCResult:
-    status: str
     S: list[tuple[int, ...]]
     n_cliques: int = 0
     rounds: int = 0  # always 0; kept because perfbench/run.py reads it
@@ -59,7 +58,7 @@ def solve(prep: Prepared, budget: Budget | None = None) -> GCResult:
     scores = prep.scores.tolist()
     cliques = clique_listing.list_kcliques(prep, budget)
     scored = [(sum(map(scores.__getitem__, c)), c) for c in cliques]
-    return GCResult("OK", prep.to_ids(greedy_by_score(scored)), n_cliques=n_cliques)
+    return GCResult(prep.to_ids(greedy_by_score(scored)), n_cliques=n_cliques)
 
 
 def gc(

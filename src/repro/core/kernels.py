@@ -100,21 +100,27 @@ def enumerate_from_source(
     return out
 
 
-def _enum_rec(ids, masks, cand, need, prefix, out):
+def _enum_rec(ids, masks, cand, need, prefix, out, first=False):
+    """Append the cliques below ``prefix`` to ``out``; with ``first``,
+    stop at the first one and return True."""
     rest = cand
     if need == 1:
         while rest:
             low = rest & -rest
             rest ^= low
             out.append(tuple(sorted(prefix + (ids[low.bit_length() - 1],))))
-        return
+            if first:
+                return True
+        return False
     while rest:
         low = rest & -rest
         rest ^= low
         i = low.bit_length() - 1
         nxt = cand & masks[i]
         if nxt.bit_count() >= need - 1:
-            _enum_rec(ids, masks, nxt, need - 1, prefix + (ids[i],), out)
+            if _enum_rec(ids, masks, nxt, need - 1, prefix + (ids[i],), out, first):
+                return True
+    return False
 
 
 def count_from_source(
@@ -180,32 +186,16 @@ def find_first_clique(
     valid: np.ndarray | None,
 ) -> tuple[int, ...] | None:
     """Algorithm 1's ``FindOne``: the first k-clique encountered among
-    the (still valid) out-neighbours of ``source``. Deterministic:
-    candidates are scanned in ascending node id."""
+    the (still valid) out-neighbours of ``source``: the listing
+    recursion, stopped at its first clique, so candidates are scanned
+    in ascending node id."""
     loc = _local(adj, source, valid, k - 1)
     if loc is None:
         return None
     nb, masks, cand = loc
-    got = _first_rec(nb.tolist(), masks, cand, k - 1, (source,))
-    return tuple(sorted(got)) if got is not None else None
-
-
-def _first_rec(ids, masks, cand, need, prefix):
-    if need == 1:
-        if not cand:
-            return None
-        return prefix + (ids[(cand & -cand).bit_length() - 1],)
-    rest = cand
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        nxt = cand & masks[i]
-        if nxt.bit_count() >= need - 1:
-            got = _first_rec(ids, masks, nxt, need - 1, prefix + (ids[i],))
-            if got is not None:
-                return got
-    return None
+    out: list[tuple[int, ...]] = []
+    _enum_rec(nb.tolist(), masks, cand, k - 1, (source,), out, first=True)
+    return out[0] if out else None
 
 
 def find_min_clique(
@@ -314,10 +304,6 @@ def cliques_in_subset(
             j = pos[w]
             if j > i:
                 masks[i] |= 1 << j
-    full, prefix = (1 << len(ids)) - 1, tuple(containing)
-    if first:
-        got = _first_rec(ids, masks, full, need, prefix)
-        return [tuple(sorted(got))] if got else []
     out: list[tuple[int, ...]] = []
-    _enum_rec(ids, masks, full, need, prefix, out)
+    _enum_rec(ids, masks, (1 << len(ids)) - 1, need, tuple(containing), out, first)
     return out

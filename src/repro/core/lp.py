@@ -36,7 +36,6 @@ from repro.graphs.adjacency import Oriented
 
 @dataclass
 class LPResult:
-    status: str
     S: list[tuple[int, ...]]
     n_heap_init: int = 0
     n_recomputes: int = 0
@@ -83,7 +82,7 @@ def solve(
         visited += seen
         if got is not None:
             heapq.heappush(heap, (*got, src))
-    return LPResult("OK", prep.to_ids(S), n_heap_init=n_heap_init, n_recomputes=recomputes,
+    return LPResult(prep.to_ids(S), n_heap_init=n_heap_init, n_recomputes=recomputes,
                     visited=visited)
 
 

@@ -42,22 +42,23 @@ def insert_edge(state: DynamicState, u: int, v: int) -> int:
         # already), so no new clique through (u, v) is a candidate.
         return 0
 
-    new_cands: dict[Clique, list[Clique]] = {}
+    # Owners that gained candidates, in first-gain order (TrySwap's
+    # queue order, which fixes S).
+    gained: dict[Clique, None] = {}
     for cand in _cliques_through_edge(state, u, v):
         non_free = [x for x in cand if not state.is_free(x)]
         if not non_free:
             # All free: add directly (restores maximality).
             state.add_to_S(cand)
-            for owner in refresh_candidates(state, set(cand)):
-                new_cands.setdefault(owner, [])
+            gained.update(dict.fromkeys(refresh_candidates(state, set(cand))))
             continue
         owners = {state.node2c[x] for x in non_free}
         if len(owners) == 1 and len(non_free) < state.k:
             owner = next(iter(owners))
             state.cand.setdefault(owner, set()).add(cand)
-            new_cands.setdefault(owner, []).append(cand)
-    if new_cands:
-        try_swap(state, deque(new_cands))
+            gained[owner] = None
+    if gained:
+        try_swap(state, deque(gained))
     return len(state.S) - before
 
 

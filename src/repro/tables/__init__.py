@@ -3,6 +3,6 @@
 Each module exposes ``run(...) -> pandas.DataFrame`` printing the same
 row layout the paper reports, with OOM/OOT cells produced by the Budget
 guards. Every harness runs on the driver without a SparkSession;
-``jobs/`` wraps each as a plain ``python`` script, and the measured
-numbers are recorded against the paper's in EXPERIMENTS.md.
+``jobs/run_all.py`` runs them at the EXPERIMENTS.md configuration and
+writes their CSVs to ``results/``, from which EXPERIMENTS.md is rendered.
 """

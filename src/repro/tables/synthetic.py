@@ -22,7 +22,6 @@ def run(
     n: int = DEFAULT_N,
     degrees: tuple[int, ...] = DEFAULT_DEGREES,
     ks: tuple[int, ...] = (3, 4, 5, 6),
-    max_cliques: int = common.DEFAULT_MAX_CLIQUES,
     max_seconds: float = common.DEFAULT_MAX_SECONDS,
 ) -> pd.DataFrame:
     rows = []
@@ -30,8 +29,8 @@ def run(
         e = gen.watts_strogatz(n, deg, REWIRE_P, seed=100 + deg)
         for k in ks:
             row: dict = {"Degree": deg, "n": n, "m": len(e), "k": k}
-            algos = ("HG", "GC", "LP")
-            row.update(common.heuristic_cells(e, k, algos, max_cliques, max_seconds))
+            row.update(common.heuristic_cells(
+                e, k, ("HG", "GC", "LP"), common.DEFAULT_MAX_CLIQUES, max_seconds))
             rows.append(row)
             print(pd.DataFrame([row], columns=COLUMNS).to_string(index=False))
     return pd.DataFrame(rows, columns=COLUMNS)

@@ -13,7 +13,6 @@ from repro.tables import common
 def run(
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
-    max_cliques: int = common.DEFAULT_MAX_CLIQUES,
     max_seconds: float = common.DEFAULT_MAX_SECONDS,
 ) -> pd.DataFrame:
     names = names or list(datasets.DATASETS)
@@ -30,7 +29,7 @@ def run(
             "paper_m": spec.paper_m,
         }
         for k in ks:
-            budget = common.fresh_budget(max_cliques, max_seconds)
+            budget = common.fresh_budget(max_seconds=max_seconds)
             status, out, secs = common.run_cell(
                 lambda: clique_listing.count_kcliques(Prepared(e, k), budget)
             )

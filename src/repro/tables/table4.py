@@ -8,12 +8,14 @@ from repro.core.prepare import Prepared
 from repro.graphs import datasets
 from repro.tables import common
 
+# OPT's cell is OOM past this many cliques or clique-graph edges.
+OPT_MAX_CLIQUES = 200_000
+
 
 def run(
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     opt_max_seconds: float = 60.0,
-    opt_max_cliques: int = 200_000,
 ) -> pd.DataFrame:
     names = names or list(datasets.SMALL_DATASETS)
     rows = []
@@ -23,7 +25,7 @@ def run(
             row = {"Dataset": name, "n": int(e.max()) + 1, "m": len(e), "k": k}
             lp_res = lp.solve(Prepared(e, k))
             row["LP"] = lp_res.size
-            budget = common.fresh_budget(opt_max_cliques, opt_max_seconds)
+            budget = common.fresh_budget(OPT_MAX_CLIQUES, opt_max_seconds)
             st, opt_res, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))
             row["OPT"] = common.cell(st, getattr(opt_res, "size", None))
             row["t_OPT(s)"] = round(secs, 2)

@@ -20,7 +20,7 @@ from repro.graphs import datasets
 
 def build_state(e: np.ndarray, k: int) -> st_mod.DynamicState:
     """LP from scratch + node scores -> a DynamicState ready for
-    indexing (shared by Table VII/VIII harnesses and benchmarks)."""
+    indexing (shared by the Table VII/VIII harnesses and perfbench)."""
     prep = Prepared(e, k)
     S, scores = lp.solve(prep).S, dict(zip(prep.nodes.tolist(), prep.scores.tolist()))
     del prep  # free its adjacencies before the state builds its own

@@ -29,6 +29,8 @@ from repro.dynamic import updates as upd
 from repro.graphs import datasets
 from repro.tables.table7 import build_state
 
+SEED = 123  # samples A and B; SEED + 1 interleaves the mixed run
+
 
 def _minus(e: np.ndarray, drop: np.ndarray) -> np.ndarray:
     ds = {(int(u), int(v)) for u, v in drop}
@@ -58,15 +60,13 @@ def run(
     names: list[str] | None = None,
     ks: tuple[int, ...] = (3, 4, 5, 6),
     workload: int | None = None,
-    seed: int = 123,
 ) -> pd.DataFrame:
     names = names or list(datasets.DATASETS)
     rows = []
     for name in names:
         e = datasets.edges(name)
         w = workload if workload is not None else max(10, min(10_000, len(e) // 10))
-        g = np.random.default_rng(seed)
-        idx = g.choice(len(e), size=min(2 * w, len(e)), replace=False)
+        idx = np.random.default_rng(SEED).choice(len(e), size=min(2 * w, len(e)), replace=False)
         A = e[np.sort(idx[: len(idx) // 2])]  # deletion set
         B = e[np.sort(idx[len(idx) // 2:])]  # insertion set (mixed)
         e_minus_a = _minus(e, A)
@@ -88,7 +88,7 @@ def run(
             ops = [("del", int(u), int(v)) for u, v in A] + [
                 ("ins", int(u), int(v)) for u, v in B
             ]
-            perm = np.random.default_rng(seed + 1).permutation(len(ops))
+            perm = np.random.default_rng(SEED + 1).permutation(len(ops))
             lat = _apply(st, [ops[i] for i in perm])
             row["mix_delta"] = len(st.S) - lp.solve(Prepared(e_minus_a, k)).size
             row["mix_us"] = round(lat * 1e6, 1)

@@ -1,6 +1,12 @@
 """Table-harness integration tests: each harness runs end-to-end at a
 tiny configuration and emits well-formed rows (the real runs behind
-EXPERIMENTS.md use the jobs/ entrypoints)."""
+EXPERIMENTS.md are ``jobs/run_all.py``'s), and the runner rejects an
+unknown phase."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -84,3 +90,14 @@ def test_run_cell_statuses():
     st, out, _ = common.run_cell(lambda: (_ for _ in ()).throw(SimulatedOOT("x")))
     assert (st, out) == ("OOT", None)
     assert common.cell("OK", 7) == "7" and common.cell("OOM", None) == "OOM"
+
+
+def test_run_all_rejects_unknown_phase():
+    """An unknown phase exits non-zero, names the valid ones and runs none."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    p = subprocess.run([sys.executable, str(root / "jobs" / "run_all.py"), "t9"],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode != 0
+    assert "t9" in p.stderr and "t1 t2 t4 t5 t7 t8" in p.stderr
+    assert p.stdout == ""
