@@ -141,7 +141,9 @@ def main() -> None:
         "HG, GC grows with the clique count (exponentially in k on the real "
         "graphs; here with our scaled counts). Same ordering holds: "
         "HG < LP << GC. Our numbers are analytic proxies (DESIGN.md §3) — "
-        "per-algorithm RSS is not attributable inside one shared JVM.\n"
+        "every algorithm of a row runs in one Python process, whose peak RSS "
+        "is a high-water mark over the whole run, so RSS is not attributable "
+        "per algorithm.\n"
     )
 
     # ---- Table IV ------------------------------------------------------

@@ -11,7 +11,8 @@ The index is built on the driver: with the bitset kernel, a whole
 Table VII build takes less than a Spark job launch. After an update,
 ``swap.refresh_candidates`` patches the index by the nodes whose
 free status changed and calls ``candidates_for`` only for cliques just
-placed in S.
+placed in S. ``owner_of`` is the rule both the refresh and an
+insertion apply to one new clique.
 """
 from __future__ import annotations
 
@@ -32,6 +33,16 @@ def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
                                              containing=(x,)))
     out.discard(c)
     return out
+
+
+def owner_of(state: DynamicState, clique: Clique) -> Clique | None:
+    """The clique of S that ``clique`` is a candidate of: the one clique
+    holding every non-free node of ``clique``, provided ``clique`` also
+    has a free node. None when there is no such clique."""
+    node2c = state.node2c
+    held = {node2c[v] for v in clique if v in node2c}
+    owner = held.pop() if len(held) == 1 else None
+    return owner if owner != clique else None
 
 
 def build_index(state: DynamicState) -> None:

@@ -1,10 +1,12 @@
 """TrySwap (Algorithm 4) and candidate-index refresh.
 
 A swap removes a clique ``C`` from S and adds >= 2 disjoint candidate
-cliques from ``C(C)`` in its place, growing |S|. After any change to
-the free/non-free status of nodes, only the candidates through those
-nodes change, and the index is patched by that delta; owners that
-*gained* candidates re-enter the FIFO queue (Algorithm 4 line 8).
+cliques from ``C(C)`` in its place, growing |S|; ``replace`` does that
+step, and a deletion inside a clique of S runs it with no replacement.
+After any change to the free/non-free status of nodes, only the
+candidates through those nodes change, and the index is patched by that
+delta; owners that *gained* candidates re-enter the FIFO queue
+(Algorithm 4 line 8).
 """
 from __future__ import annotations
 
@@ -46,18 +48,18 @@ def refresh_candidates(state: DynamicState, touched_nodes) -> set[Clique]:
     for f in freed:
         for cand in kernels.cliques_in_subset(adj, adj.get(f, set()), state.k,
                                               containing=(f,)):
-            held = {node2c[v] for v in cand if v in node2c}
-            if len(held) == 1:  # a just-placed owner is relisted below
-                adds.setdefault(held.pop(), set()).add(cand)
+            owner = index_mod.owner_of(state, cand)
+            if owner is not None:  # a just-placed owner is relisted below
+                adds.setdefault(owner, set()).add(cand)
     gained: set[Clique] = set()
     for c in owners:
         if c in placed:
             new = index_mod.candidates_for(state, c)
-            if new - state.cand.get(c, set()):
+            if new - state.cand[c]:
                 gained.add(c)
             state.cand[c] = new
             continue
-        cands = state.cand.setdefault(c, set())
+        cands = state.cand[c]
         cands.difference_update([x for x in cands if not covered.isdisjoint(x)])
         fresh = adds.get(c, set()) - cands
         if fresh:
@@ -66,34 +68,38 @@ def refresh_candidates(state: DynamicState, touched_nodes) -> set[Clique]:
     return gained
 
 
+def replace(state: DynamicState, c: Clique, new) -> tuple[int, set[Clique]]:
+    """Swap ``c`` out of S for the disjoint cliques ``new``: place them,
+    settle the nodes of ``c`` they leave free (maximality) and refresh
+    the candidates around every node that changed. Returns how many
+    cliques entered S and the owners that gained candidates."""
+    state.remove_from_S(c)
+    placed = [state.add_to_S(x) for x in new]
+    added = index_mod.settle_free(state, [v for v in c if state.is_free(v)])
+    touched = set(c)
+    for x in placed + added:
+        touched.update(x)
+    return len(placed) + len(added), refresh_candidates(state, touched)
+
+
 def try_swap(state: DynamicState, queue: deque[Clique]) -> int:
     """Run Algorithm 4. Returns the net growth of |S|.
 
     Each iteration pops ``C``, finds a maximal disjoint subset of its
     candidates with Algorithm 2's greedy (ascending clique score, the
     same fixed tie-break as the static algorithms), and swaps when that
-    subset has more than one clique. Nodes of ``C`` not reused by the
-    replacement are settled (maximality) and all affected candidate
-    sets are refreshed; owners with new candidates are re-queued.
+    subset has more than one clique: ``replace`` puts the subset in
+    C's place, and owners with new candidates are re-queued.
     """
     grown = 0
     while queue:
         c = queue.popleft()
         if c not in state.S:
             continue
-        scored = [(state.clique_score(x), x) for x in state.cand.get(c, ())]
-        s_dis = greedy_by_score(scored)
+        s_dis = greedy_by_score([(state.clique_score(x), x) for x in state.cand[c]])
         if len(s_dis) <= 1:
             continue
-        # Swap: free C, place the disjoint candidates, settle leftovers.
-        state.remove_from_S(c)
-        placed = [state.add_to_S(x) for x in s_dis]
-        leftovers = [v for v in c if state.is_free(v)]
-        added = index_mod.settle_free(state, leftovers)
-        grown += len(placed) + len(added) - 1
-        touched = set(c)
-        for x in placed + added:
-            touched.update(x)
-        for owner in refresh_candidates(state, touched):
-            queue.append(owner)
+        n_added, gained = replace(state, c, s_dis)
+        grown += n_added - 1
+        queue.extend(gained)
     return grown

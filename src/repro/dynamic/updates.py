@@ -13,13 +13,7 @@ from collections import deque
 from repro.core import kernels
 from repro.dynamic import index as index_mod
 from repro.dynamic.state import Clique, DynamicState
-from repro.dynamic.swap import refresh_candidates, try_swap
-
-
-def _cliques_through_edge(state: DynamicState, u: int, v: int) -> list[Clique]:
-    """All k-cliques of the current graph containing edge (u, v): u, v
-    and common neighbours of both."""
-    return kernels.cliques_in_subset(state.adj, state.adj[u], state.k, containing=(u, v))
+from repro.dynamic.swap import refresh_candidates, replace, try_swap
 
 
 def insert_edge(state: DynamicState, u: int, v: int) -> int:
@@ -45,17 +39,15 @@ def insert_edge(state: DynamicState, u: int, v: int) -> int:
     # Owners that gained candidates, in first-gain order (TrySwap's
     # queue order, which fixes S).
     gained: dict[Clique, None] = {}
-    for cand in _cliques_through_edge(state, u, v):
-        non_free = [x for x in cand if not state.is_free(x)]
-        if not non_free:
+    for cand in kernels.cliques_in_subset(state.adj, state.adj[u], state.k, containing=(u, v)):
+        if state.node2c.keys().isdisjoint(cand):
             # All free: add directly (restores maximality).
             state.add_to_S(cand)
             gained.update(dict.fromkeys(refresh_candidates(state, set(cand))))
             continue
-        owners = {state.node2c[x] for x in non_free}
-        if len(owners) == 1 and len(non_free) < state.k:
-            owner = next(iter(owners))
-            state.cand.setdefault(owner, set()).add(cand)
+        owner = index_mod.owner_of(state, cand)
+        if owner is not None:
+            state.cand[owner].add(cand)
             gained[owner] = None
     if gained:
         try_swap(state, deque(gained))
@@ -65,11 +57,11 @@ def insert_edge(state: DynamicState, u: int, v: int) -> int:
 def delete_edge(state: DynamicState, u: int, v: int) -> int:
     """Algorithm 7. Returns the change in |S|.
 
-    If (u, v) was inside a clique ``C`` of S, C is destroyed: free its
-    nodes, settle them (former candidates that are now all-free get
-    picked up), patch the index by the nodes that flipped (cliques
-    through a node still free become candidates of their owner) and
-    TrySwap (paper lines 1-4). Otherwise only candidate cliques die
+    If (u, v) was inside a clique ``C`` of S, C is destroyed:
+    ``swap.replace`` frees its nodes, settles them (former candidates
+    that are now all-free get picked up) and patches the index by the
+    nodes that flipped (cliques through a node still free become
+    candidates of their owner); then TrySwap (paper lines 1-4). Otherwise only candidate cliques die
     (lines 5-6).
     """
     u, v = int(u), int(v)
@@ -80,15 +72,11 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
     cu = state.node2c.get(u)
     cv = state.node2c.get(v)
     if cu is not None and cu == cv:
-        state.remove_from_S(cu)
         # Other owners' candidates cannot contain nodes of cu (they were
-        # non-free), so only cu's own candidate set dies, and it left
-        # with the clique. Re-cover the freed nodes:
-        added = index_mod.settle_free(state, cu)
-        touched = set(cu)
-        for x in added:
-            touched.update(x)
-        gained = refresh_candidates(state, touched)
+        # non-free), so only cu's own candidate set dies, and it leaves
+        # with the clique. Swap cu out for nothing: its freed nodes are
+        # settled and the index is patched around them.
+        _, gained = replace(state, cu, ())
         if gained:
             try_swap(state, deque(gained))
     else:

@@ -36,27 +36,25 @@ def _canonical(edges: np.ndarray) -> np.ndarray:
     return e
 
 
-@functools.lru_cache(maxsize=64)
-def _cached(model: str, args: tuple) -> np.ndarray:
-    """Memoize generated graphs; generation (esp. Holme–Kim) is a
-    Python loop and benchmarks regenerate the same graphs repeatedly."""
-    fn = {
-        "er": _erdos_renyi,
-        "ws": _watts_strogatz,
-        "plc": _powerlaw_cluster,
-        "pp": _planted_partition,
-    }[model]
-    out = fn(*args)
-    out.setflags(write=False)
-    return out
+def _memo(fn):
+    """Memoize a generator and keep its arrays read-only: generation
+    (esp. Holme–Kim) is a Python loop, and benchmarks and tests generate
+    the same graphs repeatedly. The benchmark empties each memo with its
+    ``cache_clear`` so that every set-up generates afresh."""
+
+    @functools.lru_cache(maxsize=64)
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        out.setflags(write=False)
+        return out
+
+    return cached
 
 
+@_memo
 def erdos_renyi(n: int, m: int, seed: int = 0) -> np.ndarray:
     """Uniform random graph with ``n`` nodes and (about) ``m`` edges."""
-    return _cached("er", (n, m, seed))
-
-
-def _erdos_renyi(n: int, m: int, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
     # Oversample to survive dedupe/self-loop removal, then trim.
     cand = g.integers(0, n, size=(int(m * 1.3) + 16, 2))
@@ -66,16 +64,13 @@ def _erdos_renyi(n: int, m: int, seed: int) -> np.ndarray:
     return _canonical(e)
 
 
+@_memo
 def watts_strogatz(n: int, k_nn: int, p: float, seed: int = 0) -> np.ndarray:
     """Watts–Strogatz small-world graph: ring lattice with ``k_nn``
     nearest neighbours (``k_nn`` even), each lattice endpoint rewired
     with probability ``p``. Average degree ≈ ``k_nn``."""
     if k_nn % 2 != 0:
         raise ValueError("k_nn must be even")
-    return _cached("ws", (n, k_nn, float(p), seed))
-
-
-def _watts_strogatz(n: int, k_nn: int, p: float, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
     rows = []
     src = np.arange(n, dtype=np.int64)
@@ -88,6 +83,7 @@ def _watts_strogatz(n: int, k_nn: int, p: float, seed: int) -> np.ndarray:
     return _canonical(np.concatenate(rows))
 
 
+@_memo
 def powerlaw_cluster(n: int, m_per_node: int, p_triad: float, seed: int = 0) -> np.ndarray:
     """Holme–Kim powerlaw-cluster graph: each new node attaches
     ``m_per_node`` edges; after a preferential-attachment step, with
@@ -95,10 +91,6 @@ def powerlaw_cluster(n: int, m_per_node: int, p_triad: float, seed: int = 0) -> 
     random neighbour of the previous target. Produces heavy-tailed
     degrees and high clustering — the regime where the paper's
     k-clique counts explode with ``k``."""
-    return _cached("plc", (n, m_per_node, float(p_triad), seed))
-
-
-def _powerlaw_cluster(n: int, m_per_node: int, p_triad: float, seed: int) -> np.ndarray:
     if n <= m_per_node:
         raise ValueError("n must exceed m_per_node")
     g = np.random.default_rng(seed)
@@ -169,17 +161,12 @@ def dense_overlay(
     return _canonical(np.concatenate(rows))
 
 
+@_memo
 def planted_partition(
     n: int, n_communities: int, p_in: float, p_out: float, seed: int = 0
 ) -> np.ndarray:
     """Planted-partition graph: ``n_communities`` equal blocks, edge
     probability ``p_in`` inside a block and ``p_out`` across blocks."""
-    return _cached("pp", (n, n_communities, float(p_in), float(p_out), seed))
-
-
-def _planted_partition(
-    n: int, n_communities: int, p_in: float, p_out: float, seed: int
-) -> np.ndarray:
     g = np.random.default_rng(seed)
     block = np.arange(n) % n_communities
     iu, iv = np.triu_indices(n, k=1)

@@ -35,12 +35,3 @@ def run(
             print(pd.DataFrame([row], columns=COLUMNS).to_string(index=False))
     return pd.DataFrame(rows, columns=COLUMNS)
 
-
-def table5(df: pd.DataFrame) -> pd.DataFrame:
-    """Runtime view (paper Table V)."""
-    return df[["Degree", "k", "t_HG(s)", "t_GC(s)", "t_LP(s)", "GC", "LP"]]
-
-
-def table6(df: pd.DataFrame) -> pd.DataFrame:
-    """Size-of-S view (paper Table VI)."""
-    return df[["Degree", "k", "HG", "GC_delta", "LP_delta"]]

@@ -15,11 +15,11 @@ import pandas as pd
 _B_PER_ID = 8  # int64 node id
 
 
-def space_rows(table2_df: pd.DataFrame, k_col: str = "k") -> pd.DataFrame:
+def space_rows(table2_df: pd.DataFrame) -> pd.DataFrame:
     """Derive space proxies (MB) from a Table II result frame."""
     rows = []
     for r in table2_df.itertuples(index=False):
-        n, m, k = int(r.n), int(r.m), int(getattr(r, k_col))
+        n, m, k = int(r.n), int(r.m), int(r.k)
         graph_mb = (2 * m + n) * _B_PER_ID / 1e6  # edge list + index
         row = {
             "Name": r.Name,

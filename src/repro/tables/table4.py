@@ -1,12 +1,14 @@
-"""Table IV: LP vs the exact solution on 6 small graphs (error ratio)."""
+"""Table IV: LP vs the exact solution on 6 small graphs (error ratio).
+
+A view of Table II: ``run`` takes the LP and OPT cells of ``table2.run``
+on the small graphs, and ``error_rows`` adds the error ratio.
+"""
 from __future__ import annotations
 
 import pandas as pd
 
-from repro.core import lp, opt
-from repro.core.prepare import Prepared
 from repro.graphs import datasets
-from repro.tables import common
+from repro.tables import table2
 
 # OPT's cell is OOM past this many cliques or clique-graph edges.
 OPT_MAX_CLIQUES = 200_000
@@ -17,24 +19,15 @@ def run(
     ks: tuple[int, ...] = (3, 4, 5, 6),
     opt_max_seconds: float = 60.0,
 ) -> pd.DataFrame:
-    names = names or list(datasets.SMALL_DATASETS)
-    rows = []
-    for name in names:
-        e = datasets.edges(name)
-        for k in ks:
-            row = {"Dataset": name, "n": int(e.max()) + 1, "m": len(e), "k": k}
-            lp_res = lp.solve(Prepared(e, k))
-            row["LP"] = lp_res.size
-            budget = common.fresh_budget(OPT_MAX_CLIQUES, opt_max_seconds)
-            st, opt_res, secs = common.run_cell(lambda: opt.solve(Prepared(e, k), budget))
-            row["OPT"] = common.cell(st, getattr(opt_res, "size", None))
-            row["t_OPT(s)"] = round(secs, 2)
-            if st == "OK" and opt_res.size > 0:
-                row["ER"] = f"{(opt_res.size - lp_res.size) / opt_res.size:.2%}"
-            elif st == "OK":
-                row["ER"] = "0%"
-            else:
-                row["ER"] = "-"
-            rows.append(row)
-            print(pd.DataFrame([row]).to_string(index=False))
-    return pd.DataFrame(rows)
+    t2 = table2.run(names or list(datasets.SMALL_DATASETS), ks, ("LP", "OPT"),
+                    max_cliques=OPT_MAX_CLIQUES, opt_max_seconds=opt_max_seconds)
+    return error_rows(t2)
+
+
+def error_rows(table2_df: pd.DataFrame) -> pd.DataFrame:
+    """LP, OPT and the error ratio (OPT − LP) / OPT of a Table II frame."""
+    df = table2_df.rename(columns={"Name": "Dataset"})
+    df["LP"] = df["LP"].astype(int)
+    df["ER"] = ["-" if not str(o).isdigit() else "0%" if int(o) == 0
+                else f"{(int(o) - lp) / int(o):.2%}" for lp, o in zip(df["LP"], df["OPT"])]
+    return df[["Dataset", "n", "m", "k", "LP", "OPT", "t_OPT(s)", "ER"]]

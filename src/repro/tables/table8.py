@@ -12,8 +12,11 @@ W = min(10_000, m // 10) scaled to our datasets:
   ends at (G - B) - A + B = G - A, so compare against from-scratch on
   G - A.
 
-Each cell also reports the mean per-update latency in microseconds —
-the quantity the paper plots in Fig. 7.
+"From scratch" is LP's |S|, which is the initial |S| of the state that
+``table7.indexed_state`` builds on the same graph: the state on G - A
+gives the scratch size for the deletion and mixed runs, and the state
+on G the one for insertion. Each cell also reports the mean per-update
+latency in microseconds — the quantity the paper plots in Fig. 7.
 """
 from __future__ import annotations
 
@@ -22,38 +25,19 @@ import time
 import numpy as np
 import pandas as pd
 
-from repro.core import lp
-from repro.core.prepare import Prepared
-from repro.dynamic import index as idx_mod
 from repro.dynamic import updates as upd
 from repro.graphs import datasets
-from repro.tables.table7 import build_state
+from repro.tables.table7 import indexed_state
 
 SEED = 123  # samples A and B; SEED + 1 interleaves the mixed run
 
 
-def _minus(e: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    ds = {(int(u), int(v)) for u, v in drop}
-    return np.array(
-        [(u, v) for u, v in e if (int(u), int(v)) not in ds], dtype=np.int64
-    ).reshape(-1, 2)
-
-
-def _apply(state, ops) -> float:
-    """Apply ops, return mean seconds per update."""
+def _apply(state, ops) -> tuple[float, int]:
+    """Apply ops; return the mean microseconds per update and the final |S|."""
     t0 = time.monotonic()
     for op, u, v in ops:
-        if op == "ins":
-            upd.insert_edge(state, int(u), int(v))
-        else:
-            upd.delete_edge(state, int(u), int(v))
-    return (time.monotonic() - t0) / max(1, len(ops))
-
-
-def _indexed_state(e: np.ndarray, k: int):
-    st = build_state(e, k)
-    idx_mod.build_index(st)
-    return st
+        (upd.insert_edge if op == "ins" else upd.delete_edge)(state, u, v)
+    return round((time.monotonic() - t0) / max(1, len(ops)) * 1e6, 1), len(state.S)
 
 
 def run(
@@ -67,31 +51,26 @@ def run(
         e = datasets.edges(name)
         w = workload if workload is not None else max(10, min(10_000, len(e) // 10))
         idx = np.random.default_rng(SEED).choice(len(e), size=min(2 * w, len(e)), replace=False)
-        A = e[np.sort(idx[: len(idx) // 2])]  # deletion set
-        B = e[np.sort(idx[len(idx) // 2:])]  # insertion set (mixed)
-        e_minus_a = _minus(e, A)
-        e_minus_b = _minus(e, B)
+        rows_a, rows_b = idx[: len(idx) // 2], idx[len(idx) // 2:]
+        A = e[np.sort(rows_a)].tolist()  # deletion set
+        B = e[np.sort(rows_b)].tolist()  # insertion set (mixed)
+        e_minus_a = np.delete(e, rows_a, axis=0)
+        e_minus_b = np.delete(e, rows_b, axis=0)
+        dels, inss = [("del", u, v) for u, v in A], [("ins", u, v) for u, v in A]
+        mixed = dels + [("ins", u, v) for u, v in B]
+        mixed = [mixed[i] for i in np.random.default_rng(SEED + 1).permutation(len(mixed))]
         for k in ks:
-            row: dict = {"Dataset": name, "k": k, "W": len(A)}
-
-            st = _indexed_state(e, k)
-            lat = _apply(st, [("del", u, v) for u, v in A])
-            row["del_delta"] = len(st.S) - lp.solve(Prepared(e_minus_a, k)).size
-            row["del_us"] = round(lat * 1e6, 1)
-
-            st = _indexed_state(e_minus_a, k)
-            lat = _apply(st, [("ins", u, v) for u, v in A])
-            row["ins_delta"] = len(st.S) - lp.solve(Prepared(e, k)).size
-            row["ins_us"] = round(lat * 1e6, 1)
-
-            st = _indexed_state(e_minus_b, k)
-            ops = [("del", int(u), int(v)) for u, v in A] + [
-                ("ins", int(u), int(v)) for u, v in B
-            ]
-            perm = np.random.default_rng(SEED + 1).permutation(len(ops))
-            lat = _apply(st, [ops[i] for i in perm])
-            row["mix_delta"] = len(st.S) - lp.solve(Prepared(e_minus_a, k)).size
-            row["mix_us"] = round(lat * 1e6, 1)
+            st, _ = indexed_state(e, k)
+            scratch_g = len(st.S)
+            del_us, del_size = _apply(st, dels)
+            st, _ = indexed_state(e_minus_a, k)
+            scratch_a = len(st.S)
+            ins_us, ins_size = _apply(st, inss)
+            mix_us, mix_size = _apply(indexed_state(e_minus_b, k)[0], mixed)
+            row = {"Dataset": name, "k": k, "W": len(A),
+                   "del_delta": del_size - scratch_a, "del_us": del_us,
+                   "ins_delta": ins_size - scratch_g, "ins_us": ins_us,
+                   "mix_delta": mix_size - scratch_a, "mix_us": mix_us}
             rows.append(row)
             print(pd.DataFrame([row]).to_string(index=False))
     return pd.DataFrame(rows)

@@ -108,3 +108,18 @@ def test_registry_table4_entries_generate(name):
 def test_unknown_dataset_raises():
     with pytest.raises(KeyError):
         datasets.edges("nope")
+
+
+@pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+def test_memo_returns_one_read_only_array_and_clears(name, make):
+    """Each generator is memoized on its arguments; the memo hands out a
+    read-only array and can be cleared, so a benchmark set-up can time
+    generation afresh."""
+    a = make(3)
+    assert make(3) is a
+    assert not a.flags.writeable
+    fn = {"er": gen.erdos_renyi, "ws8": gen.watts_strogatz, "ws4": gen.watts_strogatz,
+          "plc": gen.powerlaw_cluster, "pp": gen.planted_partition}[name]
+    fn.cache_clear()
+    b = make(3)
+    assert b is not a and np.array_equal(a, b)

@@ -7,10 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import lp, opt
+from repro.core.prepare import Prepared
+from repro.dynamic import index as idx_mod
+from repro.dynamic import updates as upd
+from repro.graphs import datasets
 from repro.tables import common, synthetic, table1, table2, table3, table4, table7, table8
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_table1_rows():
@@ -57,11 +65,32 @@ def test_table4_error_ratio():
         assert int(r["OPT"]) >= int(r["LP"])  # exact is an upper bound
 
 
+def test_table4_cells_equal_direct_solves():
+    """Table IV's LP and OPT cells, taken from Table II's runs, are the
+    sizes ``lp.solve`` and ``opt.solve`` give on the same graph."""
+    df = table4.run(names=["Swallow"], ks=(3, 4))
+    assert list(df.columns) == ["Dataset", "n", "m", "k", "LP", "OPT", "t_OPT(s)", "ER"]
+    e = datasets.edges("Swallow")
+    for r in df.itertuples(index=False):
+        assert r.LP == lp.solve(Prepared(e, r.k)).size
+        assert int(r.OPT) == opt.solve(Prepared(e, r.k), common.fresh_budget()).size
+
+
+def test_table4_error_rows_formats():
+    t2 = pd.DataFrame({"Name": ["X"] * 3, "k": [3, 4, 5], "n": [10] * 3, "m": [20] * 3,
+                       "LP": ["4", "0", "7"], "OPT": ["5", "0", "OOT"],
+                       "t_OPT(s)": [0.1, 0.0, 30.0]})
+    t4 = table4.error_rows(t2)
+    assert list(t4["Dataset"]) == ["X"] * 3
+    assert list(t4["ER"]) == ["20.00%", "0%", "-"]
+    assert t4["LP"].dtype.kind == "i"
+
+
 def test_synthetic_tables():
     df = synthetic.run(n=120, degrees=(8,), ks=(3,))
     assert len(df) == 1
-    t5, t6 = synthetic.table5(df), synthetic.table6(df)
-    assert "t_GC(s)" in t5.columns and "GC_delta" in t6.columns
+    assert list(df.columns) == synthetic.COLUMNS
+    assert {"t_HG(s)", "t_GC(s)", "t_LP(s)", "GC_delta", "LP_delta"} <= set(df.columns)
 
 
 def test_table7_index():
@@ -80,6 +109,40 @@ def test_table8_updates():
         assert row[col] > 0
 
 
+def test_table8_deltas_equal_final_size_minus_lp():
+    """Each delta is the run's final |S| minus LP's |S| on the graph the
+    run ends on; here the runs are replayed and the LP computed on an edge
+    set built by a set difference."""
+    df = table8.run(names=["FTB"], ks=(3, 4))
+    assert list(df.columns) == ["Dataset", "k", "W", "del_delta", "del_us",
+                                "ins_delta", "ins_us", "mix_delta", "mix_us"]
+    e = datasets.edges("FTB")
+    w = int(df.iloc[0]["W"])
+    idx = np.random.default_rng(table8.SEED).choice(len(e), size=2 * w, replace=False)
+    A, B = e[np.sort(idx[:w])].tolist(), e[np.sort(idx[w:])].tolist()
+
+    def minus(drop):
+        gone = set(map(tuple, drop))
+        return np.array([r for r in e.tolist() if tuple(r) not in gone], dtype=np.int64)
+
+    def final_size(g, k, ops):
+        st = table7.build_state(g, k)
+        idx_mod.build_index(st)
+        for op, u, v in ops:
+            (upd.insert_edge if op == "ins" else upd.delete_edge)(st, u, v)
+        return len(st.S)
+
+    dels = [("del", u, v) for u, v in A]
+    mixed = dels + [("ins", u, v) for u, v in B]
+    mixed = [mixed[i] for i in np.random.default_rng(table8.SEED + 1).permutation(len(mixed))]
+    for r in df.itertuples(index=False):
+        k = r.k
+        lp_g, lp_a = lp.solve(Prepared(e, k)).size, lp.solve(Prepared(minus(A), k)).size
+        assert r.del_delta == final_size(e, k, dels) - lp_a
+        assert r.ins_delta == final_size(minus(A), k, [("ins", u, v) for u, v in A]) - lp_g
+        assert r.mix_delta == final_size(minus(B), k, mixed) - lp_a
+
+
 def test_run_cell_statuses():
     from repro.core.budgets import SimulatedOOM, SimulatedOOT
 
@@ -94,10 +157,18 @@ def test_run_cell_statuses():
 
 def test_run_all_rejects_unknown_phase():
     """An unknown phase exits non-zero, names the valid ones and runs none."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    p = subprocess.run([sys.executable, str(root / "jobs" / "run_all.py"), "t9"],
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    p = subprocess.run([sys.executable, str(ROOT / "jobs" / "run_all.py"), "t9"],
                        capture_output=True, text=True, env=env, timeout=120)
     assert p.returncode != 0
     assert "t9" in p.stderr and "t1 t2 t4 t5 t7 t8" in p.stderr
     assert p.stdout == ""
+
+
+def test_experiments_md_is_current():
+    """EXPERIMENTS.md is exactly what ``jobs/render_experiments.py``
+    renders from the committed CSVs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    p = subprocess.run([sys.executable, str(ROOT / "jobs" / "render_experiments.py")],
+                       capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert p.stdout == (ROOT / "EXPERIMENTS.md").read_text()
