@@ -143,7 +143,9 @@ def main() -> None:
         "HG < LP << GC. Our numbers are analytic proxies (DESIGN.md §3) — "
         "every algorithm of a row runs in one Python process, whose peak RSS "
         "is a high-water mark over the whole run, so RSS is not attributable "
-        "per algorithm.\n"
+        "per algorithm. GC's column counts what GC holds per clique: k int32 "
+        "members in its clique array, one int64 score and one int64 sort-order "
+        "entry.\n"
     )
 
     # ---- Table IV ------------------------------------------------------

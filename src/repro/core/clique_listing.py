@@ -4,8 +4,8 @@
   recursion over the degree orientation of a
   :class:`~repro.core.prepare.Prepared`, one driver loop over the
   sources. Like the kernels it works on dense positions, so the cliques
-  come back as position tuples; ``Prepared.to_ids`` maps them to node
-  ids.
+  come back as an int32 array of position rows; ``Prepared.to_ids``
+  maps rows to node ids.
 
 - :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
   node scores (``Prepared.scores``): counting never materializes
@@ -13,24 +13,29 @@
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import kernels
 from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 
 
-def list_kcliques(prep: Prepared, budget: Budget | None = None) -> list[tuple[int, ...]]:
-    """Every k-clique as its member positions in ascending order (the
-    canonical clique identity; ``prep.to_ids`` gives the node ids),
-    listed once, from its highest-ordering member of the degree
-    orientation, over the sources in ascending position; the budget is
-    checked once per source."""
+def list_kcliques(prep: Prepared, budget: Budget | None = None) -> np.ndarray:
+    """Every k-clique as one row of an int32 ``(n_cliques, k)`` array:
+    its member positions in ascending order (the canonical clique
+    identity; ``prep.to_ids`` gives the node ids). Each clique is listed
+    once, from its highest-ordering member of the degree orientation,
+    over the sources in ascending position; the budget is checked once
+    per source."""
     k, adj = prep.k, prep.degree_adj
     budget = budget or Budget()
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
     for src in adj.sources(k).tolist():
         budget.check_time()
         kernels.enumerate_from_source(adj, src, k, out=out)
-    return out
+    cliques = np.fromiter(out, dtype=np.int32, count=len(out)).reshape(-1, k)
+    cliques.sort(axis=1)
+    return cliques
 
 
 def count_kcliques(prep: Prepared, budget: Budget | None = None) -> int:

@@ -14,10 +14,11 @@ highest-``eta`` member (the standard kClist scheme the paper builds
 on); the orientation's triangles form a second per-source CSR. The
 oriented kernels know nodes only by dense position (kClist relabels the
 nodes 0..n-1 once the same way): a ``source`` is a position, cliques
-come back as sorted tuples of positions, node scores and counts are
-lists indexed by position, and ``valid`` is an optional boolean mask
-over positions. Nodes already placed in S are masked out, which is how
-the framework "removes" chosen cliques without rebuilding the graph.
+come back as positions (sorted tuples, or the listing's flat runs of
+k), node scores and counts are lists indexed by position, and
+``valid`` is an optional boolean mask over positions. Nodes already
+placed in S are masked out, which is how the framework "removes"
+chosen cliques without rebuilding the graph.
 Positions rise with node id, so every order below is also the order of
 ids; the caller maps the cliques it keeps to ids.
 
@@ -84,12 +85,14 @@ def enumerate_from_source(
     k: int,
     valid: np.ndarray | None = None,
     out: list | None = None,
-) -> list[tuple[int, ...]]:
-    """All k-cliques whose highest-``eta`` member is ``source``.
+) -> list[int]:
+    """All k-cliques whose highest-``eta`` member is ``source``, appended
+    to ``out`` as flat runs of k positions, one run per clique.
 
-    Returns member tuples sorted by position, i.e. by node id (the
-    canonical clique identity used everywhere for tie-breaking and
-    equality).
+    A run is ``source`` followed by the members in the order the
+    recursion fixed them; sorted, it is the canonical clique identity
+    (the member tuple sorted by position, i.e. by node id) used
+    everywhere for tie-breaking and equality.
     """
     if out is None:
         out = []
@@ -101,14 +104,16 @@ def enumerate_from_source(
 
 
 def _enum_rec(ids, masks, cand, need, prefix, out, first=False):
-    """Append the cliques below ``prefix`` to ``out``; with ``first``,
-    stop at the first one and return True."""
+    """Append the cliques below ``prefix`` to ``out``, each as the flat
+    run ``prefix`` plus its leaf member; with ``first``, stop at the
+    first one and return True."""
     rest = cand
     if need == 1:
         while rest:
             low = rest & -rest
             rest ^= low
-            out.append(tuple(sorted(prefix + (ids[low.bit_length() - 1],))))
+            out += prefix
+            out.append(ids[low.bit_length() - 1])
             if first:
                 return True
         return False
@@ -193,9 +198,9 @@ def find_first_clique(
     if loc is None:
         return None
     nb, masks, cand = loc
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
     _enum_rec(nb.tolist(), masks, cand, k - 1, (source,), out, first=True)
-    return out[0] if out else None
+    return tuple(sorted(out)) if out else None
 
 
 def find_min_clique(
@@ -248,9 +253,12 @@ def _min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):
             if low_s is None or local_scores[i] < low_s:
                 low_s, low_i = local_scores[i], i
         s = s_cur + low_s
-        members = tuple(sorted(prefix + (ids[low_i],)))
-        if best[0] is None or (s, members) < (best[0], best[1]):
-            best[0], best[1] = s, members
+        # A higher score never wins, so only a candidate that can pays
+        # for its member tuple.
+        if best[0] is None or s <= best[0]:
+            members = tuple(sorted(prefix + (ids[low_i],)))
+            if best[0] is None or (s, members) < (best[0], best[1]):
+                best[0], best[1] = s, members
         return visited
     while rest:
         low = rest & -rest
@@ -287,12 +295,12 @@ def cliques_in_subset(
     with a mask of its higher-id neighbours, so each clique is reached
     once.
     """
-    cand = set(allowed)
+    cand = allowed  # read only, so not copied
     for i, u in enumerate(containing):
         nb = adj_sets.get(u, set())
         if not nb.issuperset(containing[i + 1:]):
             return []
-        cand &= nb
+        cand = nb & cand
     need = k - len(containing)
     if need <= 0 or len(cand) < need:
         return [tuple(sorted(containing))] if need == 0 else []
@@ -304,6 +312,8 @@ def cliques_in_subset(
             j = pos[w]
             if j > i:
                 masks[i] |= 1 << j
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
     _enum_rec(ids, masks, (1 << len(ids)) - 1, need, tuple(containing), out, first)
-    return out
+    if not out:
+        return []
+    return [tuple(sorted(c)) for c in zip(*[iter(out)] * k)]

@@ -6,14 +6,15 @@ impractical: (i) list all k-cliques, (ii) build the clique graph,
 :class:`~repro.core.prepare.Prepared` — exact MIS needs the whole
 clique graph on one machine anyway — under a Budget that reproduces
 the paper's OOM (too many cliques / clique-graph edges) and OOT (exact
-MIS) cells. MIS vertex ``i`` is the ``i``-th clique in ascending order
-of its sorted member tuple; the tuples hold positions, which rise with
-node id, so the order and every tie-break are those of id tuples.
+MIS) cells. MIS vertex ``i`` is row ``i`` of the listing's clique array
+sorted by member tuple; the rows hold positions, which rise with node
+id, so the order and every tie-break are those of id tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_listing
@@ -53,14 +54,15 @@ def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
         budget.check_count(sum(s * (s - 1) // 2 for s in scores))
         budget.check_time()
     # exact_mis sweeps its reductions in vertex order and breaks branch ties
-    # by (degree, vertex), so S depends on the order: number the sorted tuples.
-    cliques = sorted(clique_listing.list_kcliques(prep, budget))
-    nbr = clique_graph(cliques)
+    # by (degree, vertex), so S depends on the order: number the sorted rows.
+    cliques = clique_listing.list_kcliques(prep, budget)
+    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    nbr = clique_graph(cliques.tolist())
     n_edges = sum(m.bit_count() for m in nbr) // 2
     if budget is not None:
         budget.check_count(n_edges)
         budget.check_time()
-    S = prep.to_ids([cliques[i] for i in exact_mis(nbr, budget=budget)])
+    S = prep.to_ids(cliques[exact_mis(nbr, budget=budget)])
     return OptResult("OK", S, n_cliques=len(cliques), n_cg_edges=n_edges)
 
 

@@ -80,7 +80,8 @@ class Prepared:
         return adj_mod.keep_clique_arcs(t, self.k)
 
     def to_ids(self, cliques) -> list[tuple[int, ...]]:
-        """Cliques of positions as cliques of node ids, in the same order;
-        a sorted member tuple stays sorted."""
-        nodes = self.nodes.tolist()
-        return [tuple(nodes[p] for p in c) for c in cliques]
+        """Cliques of positions (tuples, or the rows of an array) as
+        tuples of node ids, in the same order; a sorted clique stays
+        sorted."""
+        rows = np.asarray(cliques, dtype=np.intp).reshape(-1, self.k)
+        return list(map(tuple, self.nodes[rows].tolist()))

@@ -5,7 +5,8 @@ peak RSS is a high-water mark over the whole run, so per-algorithm RSS
 is not attributable; we report the analytic proxies that drive the
 paper's table instead (DESIGN.md §3): HG holds the graph (O(m+n)); LP adds
 the score array and one heap entry per source; GC additionally holds
-every k-clique; OPT holds the clique graph. Bytes are computed from
+every k-clique, as k int32 members plus an int64 score and an int64
+sort-order entry; OPT holds the clique graph. Bytes are computed from
 the measured counts of the Table II runs.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import pandas as pd
 
 _B_PER_ID = 8  # int64 node id
+_B_PER_MEMBER = 4  # int32 position in GC's clique array
 
 
 def space_rows(table2_df: pd.DataFrame) -> pd.DataFrame:
@@ -38,7 +40,8 @@ def space_rows(table2_df: pd.DataFrame) -> pd.DataFrame:
         if gc_status in ("OOM", "OOT"):
             row["GC_MB"] = gc_status
         elif n_cl is not None and pd.notna(n_cl):
-            row["GC_MB"] = round(graph_mb + int(n_cl) * (k + 1) * _B_PER_ID / 1e6, 2)
+            per_clique = k * _B_PER_MEMBER + 2 * _B_PER_ID  # members, s_c, order
+            row["GC_MB"] = round(graph_mb + int(n_cl) * per_clique / 1e6, 2)
         else:
             row["GC_MB"] = None
         rows.append(row)

@@ -25,9 +25,11 @@ def run(
 
 
 def error_rows(table2_df: pd.DataFrame) -> pd.DataFrame:
-    """LP, OPT and the error ratio (OPT − LP) / OPT of a Table II frame."""
+    """LP, OPT and the error ratio (OPT − LP) / OPT of a Table II frame;
+    an exact cell (LP = OPT, OPT 0 included) reads ``0%``, as in the
+    paper."""
     df = table2_df.rename(columns={"Name": "Dataset"})
     df["LP"] = df["LP"].astype(int)
-    df["ER"] = ["-" if not str(o).isdigit() else "0%" if int(o) == 0
+    df["ER"] = ["-" if not str(o).isdigit() else "0%" if int(o) == lp
                 else f"{(int(o) - lp) / int(o):.2%}" for lp, o in zip(df["LP"], df["OPT"])]
     return df[["Dataset", "n", "m", "k", "LP", "OPT", "t_OPT(s)", "ER"]]

@@ -58,6 +58,12 @@ def to_ids(nodes, cliques) -> list[tuple[int, ...]]:
     return [tuple(ids[p] for p in c) for c in cliques]
 
 
+def runs(flat, k) -> list[tuple[int, ...]]:
+    """The listing kernel's flat runs of ``k`` positions as sorted
+    member tuples, in listing order."""
+    return [tuple(sorted(flat[i:i + k])) for i in range(0, len(flat), k)]
+
+
 def by_id(nodes, counts) -> dict[int, int]:
     """Counts indexed by dense position as ``{node id: count}``, the
     zeros left out."""

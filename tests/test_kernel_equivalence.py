@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import gc, hg, kernels, lp, opt
-from repro.core.clique_listing import count_kcliques
+from repro.core.clique_listing import count_kcliques, list_kcliques
 from repro.core.lp import lp_numpy
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
@@ -83,7 +83,24 @@ def test_enumeration_order_matches_reference(seed, kind, k):
             for p in range(t.n):
                 kernels.enumerate_from_source(t, p, k, _at(t, valid), out=got)
                 H.ref_enumerate_from_source(adj, int(t.nodes[p]), k, valid, out=want)
-            assert H.to_ids(t.nodes, got) == want
+            assert H.to_ids(t.nodes, H.runs(got, k)) == want
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_list_kcliques_rows_match_tuple_listing(seed, kind, k):
+    """GC's and OPT's clique array holds, row for row, the sorted member
+    tuples the tuple listing gave: the reference listing over the
+    unfiltered degree orientation, sources in ascending id."""
+    e = _graph(seed, kind)
+    adj = _orientations(e, k)[0][0]
+    want: list = []
+    for u in sorted(adj):
+        H.ref_enumerate_from_source(adj, u, k, out=want)
+    prep = Prepared(e, k)
+    got = list_kcliques(prep)
+    assert got.dtype == np.int32 and got.shape == (len(want), k)
+    assert prep.to_ids(got) == want
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -324,7 +341,7 @@ def test_clique_arc_filter_keeps_rows_of_dropped_arcs():
     assert H.as_rows(f) == {3: ([0, 1, 2], [(1, 0), (2, 0), (2, 1)])}
     keys = np.repeat(np.arange(f.n), np.diff(f.ptr)) * f.n + f.ind
     rebuilt = adj_mod._table(f.nodes, keys)
-    assert kernels.enumerate_from_source(f, 3, 4) == [(0, 1, 2, 3)]
+    assert H.runs(kernels.enumerate_from_source(f, 3, 4), 4) == [(0, 1, 2, 3)]
     assert kernels.enumerate_from_source(rebuilt, 3, 4) == []
     _assert_filter_keeps_results(t, 4, [1, 1, 1, 1, 0], [None, np.array([1, 1, 1, 1, 0], bool)])
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core import kernels, validate
 from repro.graphs import adjacency as adj_mod
 
-from tests.helpers import by_id, paper_fig2_edges, random_graph, to_ids
+from tests.helpers import by_id, paper_fig2_edges, random_graph, runs, to_ids
 
 
 def _oriented(e, by_degree=True):
@@ -22,7 +22,7 @@ def _all_listed(adj, k):
     out = []
     for u in range(adj.n):
         kernels.enumerate_from_source(adj, u, k, out=out)
-    return to_ids(adj.nodes, out)
+    return to_ids(adj.nodes, runs(out, k))
 
 
 def _counts(adj, k):
@@ -126,8 +126,7 @@ def test_find_min_is_exact_minimum(seed, k, prune):
     e = random_graph(seed, 36)
     adj, scores = _score_oriented(e, k)
     for u in range(adj.n):
-        exhaustive = []
-        kernels.enumerate_from_source(adj, u, k, out=exhaustive)
+        exhaustive = runs(kernels.enumerate_from_source(adj, u, k), k)
         want = min(
             ((sum(scores[v] for v in c), c) for c in exhaustive),
             default=None,

@@ -254,13 +254,13 @@ def test_clique_scores_spark_match_driver(spark, ftb, monkeypatch):
     edges over its members; both are keyed by position."""
     e, df = ftb
     k = 3
-    scored = []
-    select = gc_mod.greedy_by_score
-    monkeypatch.setattr(gc_mod, "greedy_by_score", lambda rows: select(scored.extend(rows) or rows))
+    seen = []
+    order = gc_mod.greedy_order
+    monkeypatch.setattr(gc_mod, "greedy_order", lambda *a: seen.append(a) or order(*a))
     prep = Prepared(e, k)
     gc(spark, df, k)
-    cliques = prep.to_ids(c for _, c in scored)
+    (s_c, rows, _), = seen
+    cliques = prep.to_ids(rows)
     assert set(cliques) == validate.brute_force_all_kcliques(e, k)
     assert len(cliques) == len(set(cliques))
-    for score, members in scored:
-        assert score == sum(prep.scores[p] for p in members)
+    assert s_c.tolist() == [sum(prep.scores[p] for p in r) for r in rows.tolist()]

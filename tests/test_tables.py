@@ -77,12 +77,13 @@ def test_table4_cells_equal_direct_solves():
 
 
 def test_table4_error_rows_formats():
-    t2 = pd.DataFrame({"Name": ["X"] * 3, "k": [3, 4, 5], "n": [10] * 3, "m": [20] * 3,
-                       "LP": ["4", "0", "7"], "OPT": ["5", "0", "OOT"],
-                       "t_OPT(s)": [0.1, 0.0, 30.0]})
+    """An exact cell reads ``0%`` whether OPT is 0 or not."""
+    t2 = pd.DataFrame({"Name": ["X"] * 4, "k": [3, 4, 5, 6], "n": [10] * 4, "m": [20] * 4,
+                       "LP": ["4", "0", "7", "2"], "OPT": ["5", "0", "OOT", "2"],
+                       "t_OPT(s)": [0.1, 0.0, 30.0, 0.1]})
     t4 = table4.error_rows(t2)
-    assert list(t4["Dataset"]) == ["X"] * 3
-    assert list(t4["ER"]) == ["20.00%", "0%", "-"]
+    assert list(t4["Dataset"]) == ["X"] * 4
+    assert list(t4["ER"]) == ["20.00%", "0%", "-", "0%"]
     assert t4["LP"].dtype.kind == "i"
 
 

@@ -11,7 +11,7 @@ from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import generators as gen
 
-from tests.helpers import by_id, paper_fig2_edges, random_graph, to_ids
+from tests.helpers import by_id, paper_fig2_edges, random_graph, runs, to_ids
 
 
 def _scores_and_cliques(e, k):
@@ -20,11 +20,11 @@ def _scores_and_cliques(e, k):
     nodes, rank = adj_mod.rank_by_degree(e)
     adj = adj_mod.orient_by_rank(e, nodes, rank)
     scores = [0] * adj.n
-    cliques: list[tuple[int, ...]] = []
+    cliques: list[int] = []
     for u in range(adj.n):
         kernels.count_from_source(adj, u, k, scores)
         kernels.enumerate_from_source(adj, u, k, out=cliques)
-    return by_id(nodes, scores), to_ids(nodes, cliques)
+    return by_id(nodes, scores), to_ids(nodes, runs(cliques, k))
 
 
 def _clique_degrees_brute(cliques):
