@@ -2,7 +2,8 @@
 
 Modules:
 
-- ``kernels``      — pure-Python/numpy enumeration & search kernels.
+- ``kernels``      — enumeration & search kernels, C called through ``ctypes``.
+- ``native``       — builds that C, ``_kernels.c``, on first import.
 - ``prepare``      — rank/orient/score preparation (``Prepared``), the
                      input of every algorithm.
 - ``budgets``      — OOM/OOT simulation (paper's 504 GB / 24 h limits).

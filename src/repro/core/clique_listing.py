@@ -3,9 +3,9 @@
 - :func:`list_kcliques` — GC's and OPT's listing: the per-source kClist
   recursion over the degree orientation of a
   :class:`~repro.core.prepare.Prepared`, one driver loop over the
-  sources. Like the kernels it works on dense positions, so the cliques
-  come back as an int32 array of position rows; ``Prepared.to_ids``
-  maps rows to node ids.
+  sources writing into one int32 array of Σ s_n / k rows (any other
+  number of cliques raises, so counting and listing check each other),
+  of positions; ``Prepared.to_ids`` maps rows to node ids.
 
 - :func:`count_kcliques` — Table I's count, Σ s_n / k from the driver's
   node scores (``Prepared.scores``): counting never materializes
@@ -29,11 +29,13 @@ def list_kcliques(prep: Prepared, budget: Budget | None = None) -> np.ndarray:
     per source."""
     k, adj = prep.k, prep.degree_adj
     budget = budget or Budget()
-    out: list[int] = []
+    cliques = np.empty((_n_cliques(prep), k), dtype=np.int32)
+    n = 0
     for src in adj.sources(k).tolist():
         budget.check_time()
-        kernels.enumerate_from_source(adj, src, k, out=out)
-    cliques = np.fromiter(out, dtype=np.int32, count=len(out)).reshape(-1, k)
+        n += len(kernels.enumerate_from_source(adj, src, k, out=cliques[n:]))
+    if n != len(cliques):
+        raise RuntimeError(f"listed {n} cliques, but the node scores count {len(cliques)}")
     cliques.sort(axis=1)
     return cliques
 
@@ -41,11 +43,15 @@ def list_kcliques(prep: Prepared, budget: Budget | None = None) -> np.ndarray:
 def count_kcliques(prep: Prepared, budget: Budget | None = None) -> int:
     """Total number of k-cliques: sum of node scores divided by k
     (every clique contributes once per member)."""
-    k = prep.k
-    total = int(prep.scores.sum())
-    assert total % k == 0, "sum of node scores must be divisible by k"
-    n = total // k
+    n = _n_cliques(prep)
     if budget is not None:
         budget.check_count(n)
         budget.check_time()
     return n
+
+
+def _n_cliques(prep: Prepared) -> int:
+    total = int(prep.scores.sum())
+    if total % prep.k:
+        raise RuntimeError(f"the node scores sum to {total}, not a multiple of k = {prep.k}")
+    return total // prep.k

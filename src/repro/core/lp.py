@@ -31,7 +31,6 @@ from repro.core.prepare import Prepared
 # Unused; kept because perfbench.tracing.LAYERS looks this name up.
 from repro.core.scores import collect_scores  # noqa: F401
 from repro.graphs import datasets
-from repro.graphs.adjacency import Oriented
 
 
 @dataclass
@@ -46,21 +45,21 @@ class LPResult:
         return len(self.S)
 
 
-def solve(
-    prep: Prepared,
-    prune: bool = True,
-    budget: Budget | None = None,
-) -> LPResult:
-    """Run Algorithm 3 (LP when ``prune``, L otherwise).
-
-    ``Calculation`` (lines 31-39) is the loop below, with S as position
-    tuples; ``visited`` starts from HeapInit's count.
-    """
+def solve(prep: Prepared, prune: bool = True, budget: Budget | None = None) -> LPResult:
+    """Run Algorithm 3 (LP when ``prune``, L otherwise): HeapInit, one
+    FindMin per source, then ``Calculation`` (lines 31-39), with S as
+    position tuples; ``visited`` sums FindMin's count over every call."""
     k = prep.k
-    adj, scores = prep.adj, prep.scores.tolist()
+    adj, scores = prep.adj, prep.scores
     budget = budget or Budget()
     budget.check_time()
-    heap, visited = _heap_init(adj.sources(k).tolist(), adj, scores, k, prune, budget)
+    heap, visited = [], 0
+    for u in adj.sources(k).tolist():
+        budget.check_time()
+        seen, got = kernels.find_min_clique(adj, scores, u, k, None, prune)
+        visited += seen
+        if got is not None:
+            heap.append((*got, u))
     n_heap_init = len(heap)
     heapq.heapify(heap)
     valid = np.ones(adj.n, dtype=bool)
@@ -84,28 +83,6 @@ def solve(
             heapq.heappush(heap, (*got, src))
     return LPResult(prep.to_ids(S), n_heap_init=n_heap_init, n_recomputes=recomputes,
                     visited=visited)
-
-
-def _heap_init(
-    sources: list[int],
-    adj: Oriented,
-    scores: list[int],
-    k: int,
-    prune: bool,
-    budget: Budget,
-) -> tuple[list[tuple[int, tuple[int, ...], int]], int]:
-    """One FindMin per source: the ``(score, members, source)`` heap rows,
-    all over positions, and the ``visited`` count summed over every
-    source, including those that root no clique."""
-    rows = []
-    visited = 0
-    for u in sources:
-        budget.check_time()
-        seen, got = kernels.find_min_clique(adj, scores, u, k, None, prune)
-        visited += seen
-        if got is not None:
-            rows.append((*got, u))
-    return rows, visited
 
 
 def lp(

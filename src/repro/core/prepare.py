@@ -13,8 +13,8 @@ tuples, so GC and OPT list on the degree orientation.
 
 Each orientation is one :class:`~repro.graphs.adjacency.Oriented`
 table: out-neighbour CSR plus the orientation's triangles as a second
-per-source CSR of local pairs, found once by a vectorized wedge check.
-Every kernel call builds its local subgraph from those pairs. Both
+per-source CSR of local pairs, found once by the C triangle search.
+Every kernel call builds its local subgraph from those pairs, in C. Both
 tables keep only the arcs that can lie in a k-clique
 (:func:`~repro.graphs.adjacency.keep_clique_arcs`): an arc ``u -> x``
 stays iff x has at least k-2 neighbours in N+(u). A kept source's
@@ -65,10 +65,10 @@ class Prepared:
     @cached_property
     def scores(self) -> np.ndarray:
         """Node scores ``s_n`` by position; 0 for a node in no k-clique."""
-        adj, counts = self.degree_adj, [0] * len(self.nodes)
+        adj, counts = self.degree_adj, np.zeros(len(self.nodes), dtype=np.int64)
         for u in adj.sources(self.k).tolist():
             kernels.count_from_source(adj, u, self.k, counts)
-        return np.array(counts, dtype=np.int64)
+        return counts
 
     @cached_property
     def rank(self) -> np.ndarray:

@@ -20,15 +20,12 @@ stay only in ``Oriented.nodes``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from pyspark.sql import DataFrame
 
-# Wedges checked per vectorized step of the triangle search: bounds the
-# temporary arrays to a few MB whatever the graph.
-WEDGE_CHUNK = 1 << 16
-# Sources whose out-neighbourhoods are marked at once, one bit each.
-_GROUP = 64
+from repro.core.native import addr, lib
 
 
 @dataclass(eq=False)
@@ -58,6 +55,13 @@ class Oriented:
     def n(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def addrs(self) -> tuple[int, int, int, int]:
+        """The addresses of ``ptr``, ``ind``, ``tptr`` and ``tri``: the
+        first arguments of every C kernel, which reads them in place."""
+        return (addr(self.ptr, np.int64), addr(self.ind, np.int32), addr(self.tptr, np.int64),
+                addr(self.tri, np.int32))
+
     def sources(self, k: int) -> np.ndarray:
         """Positions that can root a k-clique: out-degree >= k-1."""
         return np.flatnonzero(np.diff(self.ptr) >= k - 1)
@@ -65,59 +69,23 @@ class Oriented:
 
 def _table(nodes: np.ndarray, key: np.ndarray) -> Oriented:
     """The table of the arcs with keys ``pos(u) * n + pos(v)`` (sorted here,
-    in place)."""
+    in place), and its triangles, found by the C search (``triangles`` in
+    ``repro/core/_kernels.c``): one pass counts the rows of each source,
+    the next fills them."""
     n = len(nodes)
+    if n >= 2**31:
+        raise ValueError(f"{n} nodes: positions must fit in int32")
     key.sort()  # arcs ordered by (source, target)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
-    ind = (key % n).astype(np.int32 if n < 2**31 else np.int64)
-    tsrc, tri = _triangles(key, ptr, ind)
-    tptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
+    ind = (key % n).astype(np.int32)
+    tptr = np.empty(n + 1, dtype=np.int64)
+    args = (n, ptr.ctypes.data, ind.ctypes.data, tptr.ctypes.data)
+    rows = lib.triangles(*args, None)
+    tri = np.empty((max(rows, 0), 2), dtype=np.int32)
+    if rows < 0 or lib.triangles(*args, tri.ctypes.data) != rows:
+        raise MemoryError("the triangle search could not allocate its marks")
     return Oriented(nodes, ptr, ind, tptr, tri)
-
-
-def _triangles(key: np.ndarray, ptr: np.ndarray, ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The source and the int32 local pair ``(i, j)`` of every triangle,
-    grouped by source, as the arcs are.
-
-    Every wedge ``u -> v -> w`` is checked for the arc ``u -> w``. Sources
-    are taken ``_GROUP`` at a time: ``mark[w]`` has the bit of each source
-    of the group that has the arc to ``w``, so one gather checks a wedge,
-    and a binary search among the group's sorted arc keys gives the local
-    index of ``w`` for the wedges that close. Wedges are numbered in arc
-    order, then in N+(v) order, and checked ``WEDGE_CHUNK`` at a time.
-    """
-    n = len(ptr) - 1
-    deg = np.diff(ptr)
-    end = np.cumsum(deg[ind])  # arc e owns the wedges [end[e] - deg[ind[e]], end[e])
-    mark = np.zeros(n, dtype=np.uint64)
-    srcs, pairs = [ind[:0]], [np.empty((0, 2), dtype=np.int32)]
-    for g in range(0, n, _GROUP):
-        a, b = ptr[g], ptr[min(g + _GROUP, n)]  # the arcs out of the group
-        if a == b:
-            continue
-        d = deg[g:g + _GROUP]
-        bit = np.left_shift(np.uint64(1), np.repeat(np.arange(len(d), dtype=np.uint64), d))
-        np.bitwise_or.at(mark, ind[a:b], bit)
-        for lo in range(int(end[a] - deg[ind[a]]), int(end[b - 1]), WEDGE_CHUNK):
-            hi = min(lo + WEDGE_CHUNK, int(end[b - 1]))
-            e0, e1 = np.searchsorted(end, [lo, hi - 1], side="right").tolist()
-            arcs = np.arange(e0, e1 + 1)
-            v = ind[arcs]
-            start = end[arcs] - deg[v]
-            count = np.minimum(end[arcs], hi) - np.maximum(start, lo)
-            # wedge x of arc e ends at ind[ptr[v] + x - start(e)]
-            third = ind[np.repeat(ptr[v] - start, count) + np.arange(lo, hi)]
-            e = np.repeat(arcs, count)
-            hit = (mark[third] & bit[e - a]) != 0  # u -> w is an arc too: a triangle
-            e, third = e[hit], third[hit]
-            u = key[e] // n
-            at = np.searchsorted(key[a:b], u * n + third) + a
-            srcs.append(u.astype(ind.dtype))
-            pairs.append(np.column_stack((e - ptr[u], at - ptr[u])).astype(np.int32))
-        mark[ind[a:b]] = 0
-    return np.concatenate(srcs), np.concatenate(pairs)
 
 
 # No caller; kept because perfbench.tracing.LAYERS looks this name up.

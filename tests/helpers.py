@@ -6,6 +6,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core import kernels
 from repro.core.budgets import Budget, SimulatedOOT
 from repro.dynamic import index as index_mod
 from repro.graphs import generators as gen
@@ -58,10 +59,10 @@ def to_ids(nodes, cliques) -> list[tuple[int, ...]]:
     return [tuple(ids[p] for p in c) for c in cliques]
 
 
-def runs(flat, k) -> list[tuple[int, ...]]:
-    """The listing kernel's flat runs of ``k`` positions as sorted
-    member tuples, in listing order."""
-    return [tuple(sorted(flat[i:i + k])) for i in range(0, len(flat), k)]
+def runs(rows, k) -> list[tuple[int, ...]]:
+    """Listed cliques, as the C kernel's rows or the Python oracle's flat
+    runs of ``k`` positions, as sorted member tuples, in listing order."""
+    return [tuple(sorted(r)) for r in np.asarray(rows, dtype=np.int64).reshape(-1, k).tolist()]
 
 
 def by_id(nodes, counts) -> dict[int, int]:
@@ -82,6 +83,194 @@ class TripBudget(Budget):
         self.calls += 1
         if self.calls == self.trip_at:
             raise SimulatedOOT("tripped")
+
+
+# ---- Python oracle: the bitset recursions and the numpy triangle search
+# that the C kernels of ``repro/core/_kernels.c`` replaced. They take the
+# same ``Oriented`` table and positions; the property tests require the
+# C kernels to return identical results: rows in listing order, FindOne's
+# clique, FindMin's (score, members) and ``visited``, every count.
+
+# Wedges checked per vectorized step of the numpy triangle search.
+WEDGE_CHUNK = 1 << 16
+# Sources whose out-neighbourhoods are marked at once, one bit each.
+_GROUP = 64
+
+
+def py_triangles(ptr, ind):
+    """The source and the int32 local pair ``(i, j)`` of every triangle of
+    the CSR ``ptr``/``ind``, grouped by source, as the arcs are.
+
+    Every wedge ``u -> v -> w`` is checked for the arc ``u -> w``. Sources
+    are taken ``_GROUP`` at a time: ``mark[w]`` has the bit of each source
+    of the group that has the arc to ``w``, so one gather checks a wedge,
+    and a binary search among the group's sorted arc keys gives the local
+    index of ``w`` for the wedges that close. Wedges are numbered in arc
+    order, then in N+(v) order, and checked ``WEDGE_CHUNK`` at a time.
+    """
+    n = len(ptr) - 1
+    deg = np.diff(ptr)
+    key = np.repeat(np.arange(n, dtype=np.int64), deg) * n + ind
+    end = np.cumsum(deg[ind])  # arc e owns the wedges [end[e] - deg[ind[e]], end[e])
+    mark = np.zeros(n, dtype=np.uint64)
+    srcs, pairs = [ind[:0]], [np.empty((0, 2), dtype=np.int32)]
+    for g in range(0, n, _GROUP):
+        a, b = ptr[g], ptr[min(g + _GROUP, n)]  # the arcs out of the group
+        if a == b:
+            continue
+        d = deg[g:g + _GROUP]
+        bit = np.left_shift(np.uint64(1), np.repeat(np.arange(len(d), dtype=np.uint64), d))
+        np.bitwise_or.at(mark, ind[a:b], bit)
+        for lo in range(int(end[a] - deg[ind[a]]), int(end[b - 1]), WEDGE_CHUNK):
+            hi = min(lo + WEDGE_CHUNK, int(end[b - 1]))
+            e0, e1 = np.searchsorted(end, [lo, hi - 1], side="right").tolist()
+            arcs = np.arange(e0, e1 + 1)
+            v = ind[arcs]
+            start = end[arcs] - deg[v]
+            count = np.minimum(end[arcs], hi) - np.maximum(start, lo)
+            # wedge x of arc e ends at ind[ptr[v] + x - start(e)]
+            third = ind[np.repeat(ptr[v] - start, count) + np.arange(lo, hi)]
+            e = np.repeat(arcs, count)
+            hit = (mark[third] & bit[e - a]) != 0  # u -> w is an arc too: a triangle
+            e, third = e[hit], third[hit]
+            u = key[e] // n
+            at = np.searchsorted(key[a:b], u * n + third) + a
+            srcs.append(u.astype(ind.dtype))
+            pairs.append(np.column_stack((e - ptr[u], at - ptr[u])).astype(np.int32))
+        mark[ind[a:b]] = 0
+    return np.concatenate(srcs), np.concatenate(pairs)
+
+
+def py_local(adj, source, valid, need, undirected=False):
+    """The local subgraph of position ``source``, or None if it has
+    fewer than ``need`` valid out-neighbours.
+
+    Returns ``(nb, masks, cand)``: ``nb`` holds the positions of the
+    out-neighbours (ascending, so ascending id), bit ``j`` of
+    ``masks[i]`` is set iff ``nb[j]`` is an out-neighbour of ``nb[i]``
+    (or, with ``undirected``, either kind of neighbour), and ``cand``
+    has bit ``i`` set iff ``nb[i]`` is valid.
+    """
+    a, b = adj.ptr[source:source + 2].tolist()
+    if b - a < need:
+        return None
+    nb = adj.ind[a:b]
+    if valid is None:
+        cand = (1 << (b - a)) - 1
+    else:
+        cand = int.from_bytes(np.packbits(valid[nb], bitorder="little").tobytes(), "little")
+        if cand.bit_count() < need:
+            return None
+    s, e = adj.tptr[source:source + 2].tolist()
+    masks = [0] * (b - a)
+    for i, j in adj.tri[s:e].tolist():
+        masks[i] |= 1 << j
+        if undirected:
+            masks[j] |= 1 << i
+    return nb, masks, cand
+
+
+def py_enumerate_from_source(adj, source, k, valid=None):
+    """The cliques rooted at ``source`` as flat runs of k positions:
+    ``source``, then the members in the order the recursion fixed them."""
+    out: list[int] = []
+    loc = py_local(adj, source, valid, k - 1)
+    if loc is not None:
+        nb, masks, cand = loc
+        kernels._enum_rec(nb.tolist(), masks, cand, k - 1, (source,), out)
+    return out
+
+
+def py_find_first_clique(adj, source, k, valid):
+    loc = py_local(adj, source, valid, k - 1)
+    if loc is None:
+        return None
+    nb, masks, cand = loc
+    out: list[int] = []
+    kernels._enum_rec(nb.tolist(), masks, cand, k - 1, (source,), out, first=True)
+    return tuple(sorted(out)) if out else None
+
+
+def py_count_from_source(adj, source, k, counts):
+    """Adds the node scores of the cliques rooted at ``source`` into the
+    position-indexed ``counts``."""
+    loc = py_local(adj, source, None, k - 1, undirected=True)
+    if loc is None:
+        return
+    nb, masks, cand = loc
+    local = [0] * len(masks)
+    counts[source] += _py_count_rec(masks, cand, k - 1, local)
+    for p, c in zip(nb.tolist(), local):
+        counts[p] += c
+
+
+def _py_count_rec(masks, cand, need, local):
+    rest = cand
+    total = 0
+    if need <= 2:
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            n = 1 if need == 1 else (cand & masks[i]).bit_count()
+            local[i] += n
+            total += n
+        return total if need == 1 else total // 2
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        nxt = rest & masks[i]
+        if nxt.bit_count() >= need - 1:
+            n = _py_count_rec(masks, nxt, need - 1, local)
+            local[i] += n
+            total += n
+    return total
+
+
+def py_find_min_clique(adj, scores, source, k, valid=None, prune=True):
+    """``(visited, (score, members) or None)``, as the C FindMin returns."""
+    loc = py_local(adj, source, valid, k - 1)
+    if loc is None:
+        return 0, None
+    nb, masks, cand = loc
+    ids = nb.tolist()
+    local_scores = [int(scores[p]) for p in ids]
+    best: list = [None, None]
+    visited = _py_min_rec(ids, masks, local_scores, cand, k - 1, (source,), int(scores[source]),
+                          best, prune)
+    return visited, (tuple(best) if best[0] is not None else None)
+
+
+def _py_min_rec(ids, masks, local_scores, cand, need, prefix, s_cur, best, prune):
+    visited = cand.bit_count()
+    rest = cand
+    if need == 1:
+        low_s = low_i = None
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if low_s is None or local_scores[i] < low_s:
+                low_s, low_i = local_scores[i], i
+        s = s_cur + low_s
+        if best[0] is None or s <= best[0]:
+            members = tuple(sorted(prefix + (ids[low_i],)))
+            if best[0] is None or (s, members) < (best[0], best[1]):
+                best[0], best[1] = s, members
+        return visited
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        s_v = s_cur + local_scores[i]
+        if prune and best[0] is not None and s_v > best[0]:
+            continue
+        nxt = cand & masks[i]
+        if nxt.bit_count() >= need - 1:
+            visited += _py_min_rec(ids, masks, local_scores, nxt, need - 1, prefix + (ids[i],),
+                                   s_v, best, prune)
+    return visited
 
 
 # ---- reference oracle: the np.intersect1d kernels and the loop-based

@@ -1,11 +1,14 @@
-"""Property tests: the bitset kernels on the oriented table and the numpy
+"""Property tests: the C kernels on the oriented table and the numpy
 rank/orient helpers against the np.intersect1d kernels and loop helpers
-they replaced (``tests.helpers.ref_*``), and the table's local subgraphs
-against the set-intersection build they replaced (``ref_local``).
+they replaced (``tests.helpers.ref_*``); the C kernels and the C triangle
+search against the Python bitset recursions and the numpy wedge check
+they replaced (``tests.helpers.py_*``); and those recursions' local
+subgraphs against the set-intersection build (``ref_local``).
 Results must be identical, not just equivalent: listing order, FindMin's
-(score, members) and its ``visited`` counter, FindOne's first clique.
-The kernels work on dense positions and the references on node ids, so
-results are mapped to ids (``H.to_ids``, ``H.by_id``) before comparing."""
+(score, members) and its ``visited`` counter, FindOne's first clique,
+triangle rows in order. The kernels work on dense positions and the
+``ref_*`` references on node ids, so results are mapped to ids
+(``H.to_ids``, ``H.by_id``) before comparing."""
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.clique_listing import count_kcliques, list_kcliques
 from repro.core.lp import lp_numpy
 from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
+from repro.graphs import datasets
 from repro.graphs import generators as gen
 
 from tests import helpers as H
@@ -59,12 +63,17 @@ def _at(table, valid):
     return None if valid is None else valid[table.nodes]
 
 
+def _score_array(table, scores):
+    """Id-keyed scores as the kernels take them: int64 over positions."""
+    return np.array([scores.get(v, 0) for v in table.nodes.tolist()], dtype=np.int64)
+
+
 @pytest.mark.parametrize("seed,kind", CASES)
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_count_matches_reference(seed, kind, k):
     e = _graph(seed, kind)
     for adj, t in _orientations(e, k)[:2]:
-        got = [0] * t.n
+        got = np.zeros(t.n, dtype=np.int64)
         want: dict[int, int] = {}
         for p in range(t.n):
             kernels.count_from_source(t, p, k, got)
@@ -81,9 +90,9 @@ def test_enumeration_order_matches_reference(seed, kind, k):
             got: list = []
             want: list = []
             for p in range(t.n):
-                kernels.enumerate_from_source(t, p, k, _at(t, valid), out=got)
+                got += H.runs(kernels.enumerate_from_source(t, p, k, _at(t, valid)), k)
                 H.ref_enumerate_from_source(adj, int(t.nodes[p]), k, valid, out=want)
-            assert H.to_ids(t.nodes, H.runs(got, k)) == want
+            assert H.to_ids(t.nodes, got) == want
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -108,7 +117,7 @@ def test_list_kcliques_rows_match_tuple_listing(seed, kind, k):
 def test_find_min_and_visited_match_reference(seed, kind, k):
     e = _graph(seed, kind)
     _, (adj, t), scores = _orientations(e, k)
-    at = [scores.get(v, 0) for v in t.nodes.tolist()]
+    at = _score_array(t, scores)
     for valid in _masks(e, seed):
         for prune in (True, False):
             for p in range(t.n):
@@ -147,18 +156,44 @@ def _on_cand(t, loc):
 
 def _assert_locals_match(e, valids, needs=(1, 2, 4)):
     """Every source's local subgraph of both orientations, directed and
-    undirected, under every mask, against ``ref_local``; an unmasked
-    one must come back with every out-neighbour a candidate."""
+    undirected, under every mask: the Python oracle's (``py_local``)
+    against ``ref_local``; an unmasked one must come back with every
+    out-neighbour a candidate."""
     for adj, t in _orientations(e, 4)[:2]:
         for valid in valids:
             for p in range(t.n):
                 u = int(t.nodes[p])
                 for need in needs:
                     for undirected in (False, True):
-                        got = kernels._local(t, p, _at(t, valid), need, undirected)
+                        got = H.py_local(t, p, _at(t, valid), need, undirected)
                         assert _on_cand(t, got) == H.ref_local(adj, u, valid, need, undirected)
                         if got is not None and valid is None:
                             assert got[2] == (1 << len(got[1])) - 1
+
+
+def _assert_kernels_match_oracle(e, valids, ks=(3, 4, 5)):
+    """Every C kernel against its Python oracle on both orientations of
+    ``e``, from every source, under every mask: the counts, the listed
+    rows in order, FindOne's clique, and FindMin's ``(visited, (score,
+    members))``, pruned and not."""
+    for k in ks:
+        (_, t0), (_, t1), scores = _orientations(e, k)
+        at = _score_array(t0, scores)
+        for t in (t0, t1):
+            got, want = np.zeros(t.n, dtype=np.int64), [0] * t.n
+            for p in range(t.n):
+                kernels.count_from_source(t, p, k, got)
+                H.py_count_from_source(t, p, k, want)
+            assert got.tolist() == want
+            for valid in valids:
+                m = _at(t, valid)
+                for p in range(t.n):
+                    rows = kernels.enumerate_from_source(t, p, k, m)
+                    assert rows.reshape(-1).tolist() == H.py_enumerate_from_source(t, p, k, m)
+                    assert kernels.find_first_clique(t, p, k, m) == H.py_find_first_clique(t, p, k, m)
+                    for prune in (True, False):
+                        assert (kernels.find_min_clique(t, at, p, k, m, prune)
+                                == H.py_find_min_clique(t, at, p, k, m, prune))
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -167,7 +202,14 @@ def test_local_subgraph_matches_reference(seed, kind):
     _assert_locals_match(e, _masks(e, seed))
 
 
+@pytest.mark.parametrize("seed,kind", CASES)
+def test_c_kernels_match_python_oracle(seed, kind):
+    e = _graph(seed, kind)
+    _assert_kernels_match_oracle(e, _masks(e, seed), ks=(3, 4, 5, 6))
+
+
 def test_local_subgraph_of_empty_graph():
+    """No node, and nodes but no arc: every kernel finds nothing."""
     e = np.empty((0, 2), dtype=np.int64)
     none = np.empty(0, dtype=np.int64)
     t = adj_mod.orient_by_rank(e, none, none)
@@ -175,19 +217,35 @@ def test_local_subgraph_of_empty_graph():
     assert len(t.sources(3)) == 0
     t = adj_mod.orient_by_rank(e, np.array([7, 9]), np.array([0, 1]))  # nodes, but no arc
     assert t.ptr.tolist() == t.tptr.tolist() == [0, 0, 0]
-    assert kernels._local(t, 1, None, 1) is None
+    assert H.py_local(t, 1, None, 1) is None
+    counts = np.zeros(2, dtype=np.int64)
+    for p in range(2):
+        kernels.count_from_source(t, p, 3, counts)
+        assert kernels.enumerate_from_source(t, p, 3).shape == (0, 3)
+        assert kernels.find_first_clique(t, p, 3, None) is None
+        assert kernels.find_min_clique(t, counts, p, 3) == (0, None)
+    assert not counts.any()
+
+
+def _hub(width, seed):
+    """Node 0 joined to ``width`` others, about 15 % of whose pairs are
+    edges, so the hub has ``width`` out-neighbours."""
+    rng = np.random.default_rng(seed)
+    hub = [(0, v) for v in range(1, width + 1)]
+    among = [(a, b) for a in range(1, width + 1) for b in range(a + 1, width + 1)
+             if rng.random() < 0.15]
+    return np.array(hub + among, dtype=np.int64)
 
 
 def test_local_subgraph_wider_than_a_word():
-    """A hub with 90 out-neighbours: masks and candidates span two
-    64-bit words, and the random masks cut bits in both."""
-    rng = np.random.default_rng(5)
-    hub = [(0, v) for v in range(1, 91)]
-    among = [(a, b) for a in range(1, 91) for b in range(a + 1, 91) if rng.random() < 0.15]
-    e = np.array(hub + among, dtype=np.int64)
-    t = _orientations(e, 4)[0][1]
-    assert np.diff(t.ptr).max() >= 90
-    _assert_locals_match(e, _masks(e, 5))
+    """Hubs with 90 and 150 out-neighbours: masks and candidates span two
+    and three 64-bit words, and the random masks cut bits in each."""
+    for width in (90, 150):
+        e = _hub(width, 5)
+        t = _orientations(e, 4)[0][1]
+        assert np.diff(t.ptr).max() >= width
+        _assert_locals_match(e, _masks(e, 5))
+        _assert_kernels_match_oracle(e, _masks(e, 5), ks=(3, 4))
 
 
 class _Shifted:
@@ -204,21 +262,36 @@ class _Shifted:
 def test_local_subgraph_with_ids_near_1e10():
     small = _graph(0, "pp")
     off = 10**10 - 7
-    _assert_locals_match(small + off, [None] + [_Shifted(m, off) for m in _masks(small, 0)[1:]])
+    valids = [None] + [_Shifted(m, off) for m in _masks(small, 0)[1:]]
+    _assert_locals_match(small + off, valids)
+    _assert_kernels_match_oracle(small + off, valids)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 500])
-def test_triangles_do_not_depend_on_the_wedge_chunk(monkeypatch, chunk):
-    e = _graph(1, "er")
-    nodes, rank = adj_mod.rank_by_degree(e)
-    whole = adj_mod.orient_by_rank(e, nodes, rank)
-    assert np.diff(whole.ptr)[whole.ind].sum() > 2 * chunk, "more wedges than one chunk"
-    monkeypatch.setattr(adj_mod, "WEDGE_CHUNK", chunk)
-    cut = adj_mod.orient_by_rank(e, nodes, rank)
-    for name in ("nodes", "ptr", "ind", "tptr", "tri"):
-        assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
-    if chunk == 7:
-        _assert_locals_match(e, _masks(e, 1), needs=(2,))
+def _assert_triangles_match_oracle(t):
+    """The table's triangle rows are the numpy wedge check's, in order."""
+    tsrc, tri = H.py_triangles(t.ptr, t.ind)
+    assert np.array_equal(t.tri, tri)
+    assert np.array_equal(np.diff(t.tptr), np.bincount(tsrc, minlength=t.n))
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+def test_triangle_rows_match_numpy_oracle(seed, kind):
+    e = _graph(seed, kind)
+    for _, t in _orientations(e, 4)[:2]:
+        assert len(t.tri) > 0
+        _assert_triangles_match_oracle(t)
+
+
+def test_triangle_rows_match_numpy_oracle_on_fbp_tables():
+    """FBP k=6, unfiltered: the degree table, whose widest source has
+    hundreds of out-neighbours, and the score table (the edges between
+    nodes of positive score)."""
+    prep = Prepared(datasets.edges("FBP"), 6)
+    for rank, live in ((prep.degree_rank, None), (prep.rank, prep.scores > 0)):
+        t = adj_mod.orient_by_rank(prep.edges, prep.nodes, rank, live)
+        assert len(t.tri) > 0
+        _assert_triangles_match_oracle(t)
+    assert np.diff(adj_mod.orient_by_rank(prep.edges, prep.nodes, prep.degree_rank).ptr).max() > 128
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
@@ -290,17 +363,17 @@ def _kernel_results(t, k, scores, valid):
     """Every kernel over every source of ``t`` under ``valid``: the
     count totals, the listing in order, FindOne's cliques, FindMin's
     ``(score, members)`` and its summed ``visited``."""
-    counts = [0] * t.n
+    counts = np.zeros(t.n, dtype=np.int64)
     listed: list = []
     first, best, visited = [], [], 0
     for p in range(t.n):
         kernels.count_from_source(t, p, k, counts)
-        kernels.enumerate_from_source(t, p, k, valid, out=listed)
+        listed += kernels.enumerate_from_source(t, p, k, valid).tolist()
         first.append(kernels.find_first_clique(t, p, k, valid))
         seen, got = kernels.find_min_clique(t, scores, p, k, valid, True)
         best.append(got)
         visited += seen
-    return (counts, listed, first, best), visited
+    return (counts.tolist(), listed, first, best), visited
 
 
 def _assert_filter_keeps_results(t, k, scores, valids, f=None):
@@ -323,7 +396,7 @@ def test_clique_arc_filter_changes_no_kernel_result(seed, kind, k):
     ``Prepared``'s score table, which leaves out the nodes of score 0."""
     e = _graph(seed, kind)
     (_, t0), (_, t1), scores = _orientations(e, k)
-    at = [scores.get(v, 0) for v in t0.nodes.tolist()]
+    at = _score_array(t0, scores)
     for t in (t0, t1):
         _assert_filter_keeps_results(t, k, at, _masks(e, seed))
     _assert_filter_keeps_results(t1, k, at, _masks(e, seed), Prepared(e, k).adj)
@@ -342,8 +415,9 @@ def test_clique_arc_filter_keeps_rows_of_dropped_arcs():
     keys = np.repeat(np.arange(f.n), np.diff(f.ptr)) * f.n + f.ind
     rebuilt = adj_mod._table(f.nodes, keys)
     assert H.runs(kernels.enumerate_from_source(f, 3, 4), 4) == [(0, 1, 2, 3)]
-    assert kernels.enumerate_from_source(rebuilt, 3, 4) == []
-    _assert_filter_keeps_results(t, 4, [1, 1, 1, 1, 0], [None, np.array([1, 1, 1, 1, 0], bool)])
+    assert len(kernels.enumerate_from_source(rebuilt, 3, 4)) == 0
+    _assert_filter_keeps_results(t, 4, np.array([1, 1, 1, 1, 0]),
+                                 [None, np.array([1, 1, 1, 1, 0], bool)])
 
 
 def test_clique_arc_filter_on_empty_tables():

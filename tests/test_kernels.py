@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import kernels, validate
+from repro.core.clique_listing import count_kcliques, list_kcliques
+from repro.core.prepare import Prepared
 from repro.graphs import adjacency as adj_mod
 
 from tests.helpers import by_id, paper_fig2_edges, random_graph, runs, to_ids
@@ -21,13 +23,13 @@ def _all_listed(adj, k):
     """Every k-clique as its node-id tuple, in listing order."""
     out = []
     for u in range(adj.n):
-        kernels.enumerate_from_source(adj, u, k, out=out)
-    return to_ids(adj.nodes, runs(out, k))
+        out += runs(kernels.enumerate_from_source(adj, u, k), k)
+    return to_ids(adj.nodes, out)
 
 
 def _counts(adj, k):
     """Node scores by position."""
-    counts = [0] * adj.n
+    counts = np.zeros(adj.n, dtype=np.int64)
     for u in range(adj.n):
         kernels.count_from_source(adj, u, k, counts)
     return counts
@@ -37,7 +39,7 @@ def _score_oriented(e, k):
     """LP's score orientation of ``e`` and its node scores by position."""
     adj0 = _oriented(e)
     scores = _counts(adj0, k)
-    return adj_mod.orient_by_rank(e, adj0.nodes, adj_mod.rank_from_scores(np.array(scores))), scores
+    return adj_mod.orient_by_rank(e, adj0.nodes, adj_mod.rank_from_scores(scores)), scores
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -212,3 +214,46 @@ def test_cliques_in_subset_containing_non_clique_prefix():
     sets_ = adj_mod.adj_sets(e)
     # (1, 2) is not an edge: no clique can contain both.
     assert kernels.cliques_in_subset(sets_, set(range(1, 10)), 3, containing=(1, 2)) == []
+
+
+def test_kernels_check_their_arguments():
+    """The C kernels read and write the arrays they get in place, so a
+    source that is not a position, an array of the wrong dtype or length,
+    or a listing array with too few rows raises before C runs past it."""
+    adj = _oriented(random_graph(0, 36))
+    counts = np.zeros(adj.n, dtype=np.int64)
+    u = next(p for p in range(adj.n) if len(kernels.enumerate_from_source(adj, p, 3)) > 1)
+    for source in (-1, adj.n):
+        with pytest.raises(IndexError):
+            kernels.count_from_source(adj, source, 3, counts)
+    for bad in ([0] * adj.n, counts[:-1], counts.astype(np.int32), counts[::2]):
+        with pytest.raises(TypeError):
+            kernels.count_from_source(adj, u, 3, bad)
+    with pytest.raises(TypeError):
+        kernels.find_first_clique(adj, u, 3, np.ones(adj.n, dtype=np.int8))
+    with pytest.raises(TypeError):
+        kernels.find_min_clique(adj, counts.astype(np.int32), u, 3)
+    rows = kernels.enumerate_from_source(adj, u, 3)
+    with pytest.raises(ValueError):
+        kernels.enumerate_from_source(adj, u, 3, out=np.empty((len(rows), 4), dtype=np.int32))
+    with pytest.raises(ValueError):
+        kernels.enumerate_from_source(adj, u, 3, out=np.empty((len(rows) - 1, 3), dtype=np.int32))
+    assert not counts.any(), "no kernel wrote before raising"
+
+
+def test_counting_and_listing_check_each_other():
+    """The clique count is Σ s_n / k, and GC's listing fills exactly that
+    many rows; a score sum that is not a multiple of k, or one that counts
+    more or fewer cliques than the listing finds, raises (a real check,
+    which ``python -O`` keeps)."""
+    prep = Prepared(random_graph(0, 36), 4)
+    n, scores = count_kcliques(prep), prep.scores.copy()
+    assert n > 0 and len(list_kcliques(prep)) == n
+    for shift, error in ((1, RuntimeError), (4, RuntimeError), (-4, ValueError)):
+        prep.scores = scores.copy()
+        prep.scores[np.flatnonzero(scores)[0]] += shift
+        if shift % 4:
+            with pytest.raises(RuntimeError, match="not a multiple"):
+                count_kcliques(prep)
+        with pytest.raises(error):
+            list_kcliques(prep)

@@ -19,12 +19,12 @@ def _scores_and_cliques(e, k):
     k-clique as its id tuple."""
     nodes, rank = adj_mod.rank_by_degree(e)
     adj = adj_mod.orient_by_rank(e, nodes, rank)
-    scores = [0] * adj.n
-    cliques: list[int] = []
+    scores = np.zeros(adj.n, dtype=np.int64)
+    cliques: list[tuple[int, ...]] = []
     for u in range(adj.n):
         kernels.count_from_source(adj, u, k, scores)
-        kernels.enumerate_from_source(adj, u, k, out=cliques)
-    return by_id(nodes, scores), to_ids(nodes, runs(cliques, k))
+        cliques += runs(kernels.enumerate_from_source(adj, u, k), k)
+    return by_id(nodes, scores.tolist()), to_ids(nodes, cliques)
 
 
 def _clique_degrees_brute(cliques):
