@@ -1,5 +1,5 @@
-/* The compiled kernels, built and loaded by repro.core.native: the triangle
- * search of repro.graphs.adjacency and the four per-source kernels of
+/* The compiled kernels, built and loaded by repro.core.native: the table
+ * builder of repro.graphs.adjacency and the per-source kernels of
  * repro.core.kernels, whose docstrings say what each returns. A kernel takes
  * an Oriented table (ptr, ind, tptr, tri) and a source, whose d out-neighbours
  * are local nodes 0..d-1, each with a W-word mask of its out-neighbours among
@@ -122,27 +122,91 @@ static void min_rec(Search *S, u64 *cand, int64_t need, int64_t depth, int64_t s
     }
 }
 
-/* Row (i, j) of source u when its i-th out-neighbour v has the j-th as one,
- * in arc order, then N+(v) order; sets tptr[u + 1] to the rows up to u's
- * last, writes the rows unless tri is NULL, and returns their number. */
-int64_t triangles(int64_t n, const int64_t *ptr, const int32_t *ind, int64_t *tptr, int32_t *tri) {
-    int32_t *mark = calloc(n + 1, sizeof *mark);  /* local index + 1 in N+(u), or 0 */
-    int64_t t = 0;
-    if (!mark) return -1;
-    tptr[0] = 0;
-    for (int64_t u = 0; u < n; u++) {
-        for (int64_t e = ptr[u]; e < ptr[u + 1]; e++) mark[ind[e]] = (int32_t)(e - ptr[u] + 1);
-        for (int64_t e = ptr[u]; e < ptr[u + 1]; e++)
-            for (int64_t f = ptr[ind[e]]; f < ptr[ind[e] + 1]; f++) {
-                int32_t j = mark[ind[f]];
-                if (j && tri) tri[2 * t] = (int32_t)(e - ptr[u]), tri[2 * t + 1] = j - 1;
-                t += j != 0;
+/* Edge e of pos as the arc u -> v, from the endpoint of higher rank (ties and
+ * a NULL rank: as given); 0 if live is given and an endpoint is dead. */
+static int arc(const int64_t *pos, const int64_t *rank, const uint8_t *live, int64_t e, int64_t *u, int64_t *v) {
+    int64_t a = pos[2 * e], b = pos[2 * e + 1];
+    if (live && !(live[a] && live[b])) return 0;
+    if (rank && rank[a] < rank[b]) *u = b, *v = a;
+    else *u = a, *v = b;
+    return 1;
+}
+
+/* Grows *buf, of *have pairs, to hold need pairs, at least doubling it; 0 if
+ * realloc fails. */
+static int room(int32_t **buf, int64_t *have, int64_t need) {
+    int32_t *more;
+    if (need <= *have) return 1;
+    if (need < 2 * *have) need = 2 * *have;
+    if (!(more = realloc(*buf, 2 * need * sizeof *more))) return 0;
+    *buf = more, *have = need;
+    return 1;
+}
+
+/* The table of repro.graphs.adjacency.orient_by_rank. The arcs of the m
+ * edges over n positions go into a CSR with ascending targets by two counting
+ * scatters (by target, then by source). Source u's triangle rows are (i, j)
+ * when its i-th out-neighbour has its j-th as one, in arc order, then N+ order,
+ * found in one scan that marks N+(u) with local index + 1. The arcs in fewer
+ * than k-2 of u's rows are dropped, and so are their rows; the rest are
+ * re-indexed into the kept out-neighbours. Writes ptr and tptr (n + 1 each)
+ * and ind (m entries), sets *tri to a buffer of the kept rows, which the
+ * caller frees with release, and returns their number, or -1. */
+int64_t orient(int64_t n, int64_t m, const int64_t *pos, const int64_t *rank, const uint8_t *live,
+               int64_t k, int64_t *ptr, int32_t *ind, int64_t *tptr, int32_t **tri) {
+    int64_t *optr = calloc(2 * (n + 2), sizeof *optr), *iptr = optr + n + 2, *cnt = NULL;
+    int32_t *src = calloc(2 * m + n + 1, sizeof *src), *full = src + m, *mark = full + m, *loc, *rows = NULL,
+            *out = NULL;
+    int64_t u, v, d = 0, t = 0, kept = 0, have = 0, had = 0, r;
+    if (!optr || !src || !room(&out, &had, 1)) goto fail;
+    for (int64_t e = 0; e < m; e++)  /* degrees, at [p + 2]: the scatters turn [p + 1] into p's end */
+        if (arc(pos, rank, live, e, &u, &v)) optr[u + 2]++, iptr[v + 2]++;
+    for (int64_t p = 2; p < n + 2; p++) optr[p] += optr[p - 1], iptr[p] += iptr[p - 1];
+    for (int64_t e = 0; e < m; e++)
+        if (arc(pos, rank, live, e, &u, &v)) src[iptr[v + 1]++] = (int32_t)u;
+    for (v = 0; v < n; v++)
+        for (int64_t x = iptr[v]; x < iptr[v + 1]; x++) full[optr[src[x] + 1]++] = (int32_t)v;
+    for (u = 0; u < n; u++) d = optr[u + 1] - optr[u] > d ? optr[u + 1] - optr[u] : d;
+    if (!(cnt = calloc(d + 1, sizeof *cnt + sizeof *loc))) goto fail;
+    loc = (int32_t *)(cnt + d + 1), ptr[0] = tptr[0] = 0;
+    for (u = 0; u < n; u++) {
+        int64_t a = optr[u];
+        d = optr[u + 1] - a, r = 0;
+        for (int64_t i = 0; i < d; i++) mark[full[a + i]] = (int32_t)(i + 1);
+        for (int64_t i = 0; i < d; i++) {
+            int64_t b = optr[full[a + i]], c = optr[full[a + i] + 1];
+            if (!room(&rows, &have, r + c - b)) goto fail;  /* every row of this out-neighbour fits */
+            for (int64_t f = b; f < c; f++) {
+                int32_t j = mark[full[f]];
+                if (j) rows[2 * r] = (int32_t)i, rows[2 * r + 1] = j - 1, cnt[i]++, cnt[j - 1]++, r++;
             }
-        for (int64_t e = ptr[u]; e < ptr[u + 1]; e++) mark[ind[e]] = 0;
+        }
+        for (int64_t i = 0; i < d; i++) {
+            mark[full[a + i]] = 0;
+            loc[i] = cnt[i] >= k - 2 ? (int32_t)(kept - ptr[u]) : -1;
+            if (loc[i] >= 0) ind[kept++] = full[a + i];
+            cnt[i] = 0;
+        }
+        ptr[u + 1] = kept;
+        if (!room(&out, &had, t + r)) goto fail;
+        for (int64_t x = 0; x < r; x++) {
+            int32_t i = loc[rows[2 * x]], j = loc[rows[2 * x + 1]];
+            if (i >= 0 && j >= 0) out[2 * t] = i, out[2 * t + 1] = j, t++;
+        }
         tptr[u + 1] = t;
     }
-    free(mark);
+    goto done;
+fail:
+    t = -1, free(out), out = NULL;
+done:
+    free(optr), free(src), free(cnt), free(rows);
+    *tri = out;
     return t;
+}
+
+int64_t release(void *buf) {
+    free(buf);
+    return 0;
 }
 
 int64_t count_from_source(TABLE, int64_t src, int64_t k, int64_t *counts) {
@@ -152,6 +216,13 @@ int64_t count_from_source(TABLE, int64_t src, int64_t k, int64_t *counts) {
     for (int64_t i = 0; r > 0 && i < S.d; i++) counts[S.nb[i]] += S.local[i];
     free(S.mask);
     return r < 0 ? -1 : 0;
+}
+
+/* count_from_source from every position with k-1 or more out-neighbours. */
+int64_t node_scores(TABLE, int64_t n, int64_t k, int64_t *counts) {
+    for (int64_t u = 0; u < n; u++)
+        if (ptr[u + 1] - ptr[u] >= k - 1 && count_from_source(ptr, ind, tptr, tri, u, k, counts) < 0) return -1;
+    return 0;
 }
 
 int64_t enumerate_from_source(TABLE, int64_t src, int64_t k, const uint8_t *valid, int32_t *out, int64_t cap) {

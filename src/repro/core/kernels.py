@@ -4,7 +4,9 @@ The per-source recursions every algorithm in the paper is built from.
 The four oriented kernels are C functions of ``repro/core/_kernels.c``
 (built by :mod:`repro.core.native`), called through ``ctypes`` once per
 source or recompute; the loops over the sources stay with their callers,
-so a budget is checked once per source.
+so a budget is checked once per source. The one exception is
+:func:`node_scores`, the unbudgeted count of ``Prepared.scores``, whose
+loop over the sources runs in C.
 
 ``adj`` is an :class:`~repro.graphs.adjacency.Oriented` table: the DAG
 orientation (``eta(u) > eta(v)``), so each k-clique is enumerated once,
@@ -74,6 +76,14 @@ def count_from_source(adj: Oriented, source: int, k: int, counts: np.ndarray) ->
     subgraph is taken undirected; each (k-1)-clique of it is reached once,
     from its lowest local node, and a node is credited once per branch."""
     _ok(lib.count_from_source(*_args(adj, source, k), _addr(counts, np.int64, adj.n)))
+
+
+def node_scores(adj: Oriented, k: int) -> np.ndarray:
+    """The node scores ``s_n`` (Def. 5) by position, an int64 array:
+    :func:`count_from_source` from every source, in one C call."""
+    counts = np.zeros(adj.n, dtype=np.int64)
+    _ok(lib.node_scores(*adj.addrs, adj.n, k, _addr(counts, np.int64, adj.n)))
+    return counts
 
 
 def find_first_clique(adj: Oriented, source: int, k: int,

@@ -3,8 +3,10 @@
 On first import the source next to this file is compiled (``cc -O2
 -shared -fPIC``) into ``_build/``, named by the source's hash, via a
 per-process temporary name and a rename, so no process loads a
-half-written library; later imports load that build. Without a C
-compiler the import fails: there is no Python fallback.
+half-written library; later imports load that build. Publishing a build
+removes the cache's earlier ones (a process that has one loaded keeps
+its mapping). Without a C compiler the import fails: there is no Python
+fallback.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_kernels.c")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _TABLE = (_P, _P, _P, _P, _I, _I)  # ptr, ind, tptr, tri, source, k
-_SIGNATURES = {"triangles": (_I, _P, _P, _P, _P), "count_from_source": (*_TABLE, _P),
+_SIGNATURES = {"orient": (_I, _I, _P, _P, _P, _I, _P, _P, _P, _P), "release": (_P,),
+              "count_from_source": (*_TABLE, _P), "node_scores": (*_TABLE, _P),  # n in place of source
               "enumerate_from_source": (*_TABLE, _P, _P, _I), "find_first_clique": (*_TABLE, _P, _P),
               "find_min_clique": (*_TABLE, _P, _P, _I, _P, _P)}
 
@@ -30,7 +33,8 @@ def load(source: Path = SOURCE, cache: Path | None = None) -> ctypes.CDLL:
     ``_build/`` next to it), compiled there first unless it is there."""
     cache = cache or source.with_name("_build")
     lib = cache / f"{source.stem}-{hashlib.sha256(source.read_bytes()).hexdigest()[:16]}.so"
-    if not lib.exists():
+    built = not lib.exists()
+    if built:
         if (cc := shutil.which("cc")) is None:
             raise ImportError(f"building {source.name} needs a C compiler, and `cc` is not on PATH")
         cache.mkdir(parents=True, exist_ok=True)
@@ -47,6 +51,9 @@ def load(source: Path = SOURCE, cache: Path | None = None) -> ctypes.CDLL:
     dll = ctypes.CDLL(str(lib))
     for name, args in _SIGNATURES.items():
         getattr(dll, name).argtypes, getattr(dll, name).restype = args, _I
+    for old in cache.glob(f"{source.stem}-*.so") if built else ():
+        if old != lib:  # an earlier build; a process that has it loaded keeps its mapping
+            old.unlink(missing_ok=True)
     return dll
 
 

@@ -1,24 +1,26 @@
-"""Total orderings, DAG orientation and the oriented table (numpy).
+"""Total orderings, DAG orientation and the oriented table.
 
 All static algorithms in the paper share the same preparation: pick a
 total node ordering ``eta``, orient each undirected edge from the
 higher-``eta`` endpoint to the lower one (``u -> v`` iff
 ``eta(u) > eta(v)``), and enumerate each k-clique exactly once from
 its highest-``eta`` member. Both orderings (degree, then node score)
-and the orientation are computed on the driver from the numpy edge
-array; the result is one :class:`Oriented` table of compact arrays,
-which is what the enumeration kernels consume.
-``repro.core.prepare.Prepared`` runs the sequence once per (graph, k),
-and hands the kernels each table through :func:`keep_clique_arcs`,
-which drops the arcs that can lie in no k-clique.
+are computed on the driver from the numpy edge array, and each
+orientation is one :class:`Oriented` table of compact arrays, which is
+what the enumeration kernels consume, built by one C call that also
+drops the arcs that can lie in no k-clique.
+``repro.core.prepare.Prepared`` runs the sequence once per (graph, k).
 
 A node is keyed by its dense position, its index in the ascending array
 of node ids: orderings are int arrays indexed by position, and the
-table's CSRs hold positions. Node ids enter once, in the edge array, and
-stay only in ``Oriented.nodes``.
+table's CSRs hold positions. Node ids enter once, in the edge array:
+:func:`rank_by_degree` maps each edge's endpoints to positions once,
+every orientation is built from those, and the ids stay only in
+``Oriented.nodes``.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,9 +42,9 @@ class Oriented:
       Row ``(i, j)`` of ``tri[tptr[p]:tptr[p+1]]`` is a pair of local
       indices into the out-neighbours of ``p``: with ``a = ptr[p]``,
       ``ind[a+j]`` is an out-neighbour of ``ind[a+i]``. These pairs are
-      the edges of the local subgraph on N+(p) that the kernels search.
-      After :func:`keep_clique_arcs` they are that local subgraph on the
-      kept out-neighbours, which the kept arcs alone no longer hold.
+      the edges of the local subgraph on N+(p) that the kernels search:
+      on the kept out-neighbours (see :func:`orient_by_rank`), which the
+      kept arcs alone no longer hold.
     """
 
     nodes: np.ndarray
@@ -67,34 +69,14 @@ class Oriented:
         return np.flatnonzero(np.diff(self.ptr) >= k - 1)
 
 
-def _table(nodes: np.ndarray, key: np.ndarray) -> Oriented:
-    """The table of the arcs with keys ``pos(u) * n + pos(v)`` (sorted here,
-    in place), and its triangles, found by the C search (``triangles`` in
-    ``repro/core/_kernels.c``): one pass counts the rows of each source,
-    the next fills them."""
-    n = len(nodes)
-    if n >= 2**31:
-        raise ValueError(f"{n} nodes: positions must fit in int32")
-    key.sort()  # arcs ordered by (source, target)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
-    ind = (key % n).astype(np.int32)
-    tptr = np.empty(n + 1, dtype=np.int64)
-    args = (n, ptr.ctypes.data, ind.ctypes.data, tptr.ctypes.data)
-    rows = lib.triangles(*args, None)
-    tri = np.empty((max(rows, 0), 2), dtype=np.int32)
-    if rows < 0 or lib.triangles(*args, tri.ctypes.data) != rows:
-        raise MemoryError("the triangle search could not allocate its marks")
-    return Oriented(nodes, ptr, ind, tptr, tri)
-
-
 # No caller; kept because perfbench.tracing.LAYERS looks this name up.
 def collect_out_adjacency(oriented_df: DataFrame) -> Oriented:
-    """Oriented ``(src, dst)`` DataFrame as the table over its endpoints."""
+    """Oriented ``(src, dst)`` DataFrame as the table over its endpoints,
+    every arc kept as it stands."""
     pdf = oriented_df.toPandas()
-    src, dst = pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)
-    nodes = np.unique(np.concatenate([src, dst]))
-    return _table(nodes, np.searchsorted(nodes, src) * len(nodes) + np.searchsorted(nodes, dst))
+    arcs = np.column_stack((pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)))
+    nodes, pos = np.unique(arcs, return_inverse=True)
+    return orient_by_rank(nodes, pos.reshape(-1, 2), None, 2)
 
 
 def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
@@ -107,60 +89,59 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
     return out
 
 
-def orient_by_rank(
-    edges: np.ndarray, nodes: np.ndarray, rank: np.ndarray, live: np.ndarray | None = None
-) -> Oriented:
-    """DAG orientation (Algorithm 1 line 3): ``u -> v`` iff
-    ``rank[pos(u)] > rank[pos(v)]``, as the table over ``nodes`` (every
-    endpoint id, ascending; ``rank`` is indexed by position). With
-    ``live``, a boolean mask over positions, only the edges whose two
-    endpoints are live are oriented; ``nodes`` stays whole."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    pu, pv = np.searchsorted(nodes, edges[:, 0]), np.searchsorted(nodes, edges[:, 1])
-    if live is not None:
-        both = live[pu] & live[pv]
-        pu, pv = pu[both], pv[both]
-    down = rank[pu] < rank[pv]
-    pu[down], pv[down] = pv[down], pu[down]
-    pu *= len(nodes)
-    pu += pv  # the arc keys pos(u) * n + pos(v), higher rank first
-    return _table(nodes, pu)
+def orient_by_rank(nodes: np.ndarray, pos: np.ndarray, rank: np.ndarray | None, k: int,
+                   live: np.ndarray | None = None) -> Oriented:
+    """DAG orientation (Algorithm 1 line 3) as the table over ``nodes``
+    (every node id, ascending), keeping only the arcs that can lie in a
+    k-clique.
 
-
-def keep_clique_arcs(t: Oriented, k: int) -> Oriented:
-    """``t`` without the arcs that lie in no k-clique rooted at their
-    source.
+    ``pos`` holds each edge's two endpoints as positions, an int64
+    ``(m, 2)`` array, and ``rank`` is indexed by position: the edge is the
+    arc ``u -> v`` iff ``rank[u] > rank[v]`` (None: each row is an arc as
+    it stands). With ``live``, a boolean mask over positions, only the
+    edges whose two endpoints are live are oriented; ``nodes`` stays
+    whole.
 
     An arc ``u -> x`` of a k-clique rooted at ``u`` has ``x`` adjacent to
     the other k-2 members inside N+(u), so its count of triangle rows of
     ``u`` (x's degree in u's local subgraph) is at least k-2; the arcs
-    below that are dropped, and so are the triangle rows through them.
-    The surviving rows keep their pair, re-indexed into the shorter
-    out-neighbour lists: a row ``(u; x, y)`` is the edge x-y inside
-    N+(u), which stays when the arc ``x -> y`` left x's own list, so the
-    rows cannot be rebuilt from the kept arcs.
+    below that are dropped, and so are the triangle rows through them
+    (k <= 2 keeps every arc). The surviving rows keep their pair,
+    re-indexed into the shorter out-neighbour lists: a row ``(u; x, y)``
+    is the edge x-y inside N+(u), which stays when the arc ``x -> y`` left
+    x's own list, so the rows cannot be rebuilt from the kept arcs.
+
+    One C call (``orient`` in ``repro/core/_kernels.c``) orients, builds
+    the CSR, searches each source's triangles once and filters; it grows
+    its own buffer of kept rows, which is copied into ``tri`` and freed.
     """
-    n = t.n
-    tsrc = np.repeat(np.arange(n), np.diff(t.tptr))
-    at = t.ptr[tsrc][:, None] + t.tri  # each row's two arcs
-    keep = np.bincount(at.reshape(-1), minlength=len(t.ind)) >= k - 2
-    rows = keep[at].all(axis=1)
-    before = np.zeros(len(keep) + 1, dtype=np.int64)  # kept arcs before each arc
-    np.cumsum(keep, out=before[1:])
-    ptr = before[t.ptr]
-    tsrc = tsrc[rows]
-    tri = (before[at[rows]] - ptr[tsrc][:, None]).astype(np.int32)
-    tptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
-    return Oriented(t.nodes, ptr, t.ind[keep], tptr, tri)
+    n, m = len(nodes), len(pos)
+    if n >= 2**31:
+        raise ValueError(f"{n} nodes: positions must fit in int32")
+    if np.shape(pos) != (m, 2) or (m and not 0 <= pos.min() <= pos.max() < n):
+        raise ValueError(f"pos must be an (m, 2) array of positions below {n}")
+    ptr, ind, tptr = np.empty(n + 1, np.int64), np.empty(m, np.int32), np.empty(n + 1, np.int64)
+    buf = ctypes.c_void_p()
+    rows = lib.orient(n, m, addr(pos, np.int64, m), addr(rank, np.int64, n), addr(live, np.bool_, n), k,
+                      ptr.ctypes.data, ind.ctypes.data, tptr.ctypes.data, ctypes.byref(buf))
+    try:
+        if rows < 0:
+            raise MemoryError("the table builder could not allocate its arrays")
+        tri = np.empty((rows, 2), dtype=np.int32)
+        ctypes.memmove(tri.ctypes.data, buf, tri.nbytes)
+    finally:
+        lib.release(buf)
+    return Oriented(nodes, ptr, ind[:ptr[n]].copy(), tptr, tri)
 
 
-def rank_by_degree(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every node id, ascending, and the degree ordering (Section IV-A)
-    over their positions: larger degree => larger rank, ties broken by
-    node id."""
-    nodes, deg = np.unique(np.asarray(edges, dtype=np.int64), return_counts=True)
-    return nodes, _rank(deg)
+def rank_by_degree(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node id, ascending; each edge's two endpoints as positions
+    (indices into the ids), an int64 ``(m, 2)`` array; and the degree
+    ordering (Section IV-A) over the positions: larger degree => larger
+    rank, ties broken by node id. One ``np.unique`` finds all three."""
+    nodes, pos, deg = np.unique(np.asarray(edges, dtype=np.int64), return_inverse=True,
+                                return_counts=True)
+    return nodes, pos.reshape(-1, 2), _rank(deg)
 
 
 def rank_from_scores(scores: np.ndarray) -> np.ndarray:

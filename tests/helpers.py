@@ -10,6 +10,7 @@ from repro.core import kernels
 from repro.core.budgets import Budget, SimulatedOOT
 from repro.dynamic import index as index_mod
 from repro.graphs import generators as gen
+from repro.graphs.adjacency import Oriented
 
 
 def random_graph(seed: int, n: int = 40, kind: str = "pp") -> np.ndarray:
@@ -85,10 +86,11 @@ class TripBudget(Budget):
             raise SimulatedOOT("tripped")
 
 
-# ---- Python oracle: the bitset recursions and the numpy triangle search
-# that the C kernels of ``repro/core/_kernels.c`` replaced. They take the
-# same ``Oriented`` table and positions; the property tests require the
-# C kernels to return identical results: rows in listing order, FindOne's
+# ---- Python oracle: the bitset recursions, the numpy triangle search and
+# the numpy table builder that the C code of ``repro/core/_kernels.c``
+# replaced. The kernels take the same ``Oriented`` table and positions; the
+# property tests require the C code to return identical results: every
+# table array, triangle rows in order, rows in listing order, FindOne's
 # clique, FindMin's (score, members) and ``visited``, every count.
 
 # Wedges checked per vectorized step of the numpy triangle search.
@@ -139,6 +141,58 @@ def py_triangles(ptr, ind):
             pairs.append(np.column_stack((e - ptr[u], at - ptr[u])).astype(np.int32))
         mark[ind[a:b]] = 0
     return np.concatenate(srcs), np.concatenate(pairs)
+
+
+def py_orient(edges, nodes, rank, k=None, live=None):
+    """The table ``adjacency.orient_by_rank`` builds, by the numpy path it
+    replaced: edge ids mapped to positions with ``np.searchsorted``, the
+    arcs sorted by their keys ``pos(u) * n + pos(v)`` into the CSR, the
+    triangle rows found by the numpy wedge check (``py_triangles``), and,
+    given ``k``, the arcs in no k-clique dropped by ``py_keep_clique_arcs``;
+    ``k`` None keeps the whole table. ``rank`` None takes each edge as the
+    arc it is."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pu, pv = np.searchsorted(nodes, edges[:, 0]), np.searchsorted(nodes, edges[:, 1])
+    if live is not None:
+        both = live[pu] & live[pv]
+        pu, pv = pu[both], pv[both]
+    if rank is not None:
+        down = rank[pu] < rank[pv]
+        pu[down], pv[down] = pv[down], pu[down]
+    t = _py_table(nodes, pu * len(nodes) + pv)
+    return t if k is None else py_keep_clique_arcs(t, k)
+
+
+def _py_table(nodes, key):
+    """The table of the arcs with keys ``pos(u) * n + pos(v)``."""
+    n = len(nodes)
+    key = np.sort(key)  # arcs ordered by (source, target)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=ptr[1:])
+    ind = (key % n).astype(np.int32)
+    tsrc, tri = py_triangles(ptr, ind)
+    tptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
+    return Oriented(nodes, ptr, ind, tptr, tri)
+
+
+def py_keep_clique_arcs(t, k):
+    """``t`` without the arcs in fewer than k-2 triangle rows of their
+    source, and without the rows through them; the kept rows are
+    re-indexed into the shorter out-neighbour lists."""
+    n = t.n
+    tsrc = np.repeat(np.arange(n), np.diff(t.tptr))
+    at = t.ptr[tsrc][:, None] + t.tri  # each row's two arcs
+    keep = np.bincount(at.reshape(-1), minlength=len(t.ind)) >= k - 2
+    rows = keep[at].all(axis=1)
+    before = np.zeros(len(keep) + 1, dtype=np.int64)  # kept arcs before each arc
+    np.cumsum(keep, out=before[1:])
+    ptr = before[t.ptr]
+    tsrc = tsrc[rows]
+    tri = (before[at[rows]] - ptr[tsrc][:, None]).astype(np.int32)
+    tptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tsrc, minlength=n), out=tptr[1:])
+    return Oriented(t.nodes, ptr, t.ind[keep], tptr, tri)
 
 
 def py_local(adj, source, valid, need, undirected=False):

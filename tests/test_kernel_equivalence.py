@@ -32,9 +32,17 @@ def _graph(seed, kind):
 
 
 def _table(e, rank):
-    """The table of ``e`` oriented by a reference ``{id: rank}``."""
-    nodes = np.unique(e)
-    return adj_mod.orient_by_rank(e, nodes, np.array([rank[v] for v in nodes.tolist()]))
+    """The whole table of ``e`` oriented by a reference ``{id: rank}``
+    (k=2 keeps every arc)."""
+    nodes, pos, _ = adj_mod.rank_by_degree(e)
+    return adj_mod.orient_by_rank(nodes, pos, np.array([rank[v] for v in nodes.tolist()]), 2)
+
+
+def _keep_clique_arcs(t, k):
+    """``t`` without the arcs in no k-clique: its arcs, each as it stands,
+    built again at k."""
+    arcs = np.column_stack((np.repeat(np.arange(t.n), np.diff(t.ptr)), t.ind)).astype(np.int64)
+    return adj_mod.orient_by_rank(t.nodes, arcs, None, k)
 
 
 def _orientations(e, k):
@@ -212,10 +220,10 @@ def test_local_subgraph_of_empty_graph():
     """No node, and nodes but no arc: every kernel finds nothing."""
     e = np.empty((0, 2), dtype=np.int64)
     none = np.empty(0, dtype=np.int64)
-    t = adj_mod.orient_by_rank(e, none, none)
+    t = adj_mod.orient_by_rank(none, e, none, 2)
     assert (t.n, len(t.ind), t.tri.shape) == (0, 0, (0, 2))
     assert len(t.sources(3)) == 0
-    t = adj_mod.orient_by_rank(e, np.array([7, 9]), np.array([0, 1]))  # nodes, but no arc
+    t = adj_mod.orient_by_rank(np.array([7, 9]), e, np.array([0, 1]), 2)  # nodes, but no arc
     assert t.ptr.tolist() == t.tptr.tolist() == [0, 0, 0]
     assert H.py_local(t, 1, None, 1) is None
     counts = np.zeros(2, dtype=np.int64)
@@ -288,16 +296,121 @@ def test_triangle_rows_match_numpy_oracle_on_fbp_tables():
     nodes of positive score)."""
     prep = Prepared(datasets.edges("FBP"), 6)
     for rank, live in ((prep.degree_rank, None), (prep.rank, prep.scores > 0)):
-        t = adj_mod.orient_by_rank(prep.edges, prep.nodes, rank, live)
+        t = adj_mod.orient_by_rank(prep.nodes, prep.pos, rank, 2, live)
         assert len(t.tri) > 0
         _assert_triangles_match_oracle(t)
-    assert np.diff(adj_mod.orient_by_rank(prep.edges, prep.nodes, prep.degree_rank).ptr).max() > 128
+    assert np.diff(adj_mod.orient_by_rank(prep.nodes, prep.pos, prep.degree_rank, 2).ptr).max() > 128
+
+
+def _assert_table_equal(got, want):
+    """Every array of the table, dtype and row order included."""
+    for name in ("nodes", "ptr", "ind", "tptr", "tri"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_prepared_matches_oracle(prep):
+    """Both of ``Prepared``'s tables against the numpy table builder: the
+    degree orientation over every edge, the score orientation over the
+    edges between nodes of positive score; and its node scores against
+    ``count_from_source`` from every position."""
+    e, k = prep.edges, prep.k
+    _assert_table_equal(prep.degree_adj, H.py_orient(e, prep.nodes, prep.degree_rank, k))
+    _assert_table_equal(prep.adj, H.py_orient(e, prep.nodes, prep.rank, k, prep.scores > 0))
+    counts = np.zeros(len(prep.nodes), dtype=np.int64)
+    for p in range(len(prep.nodes)):
+        kernels.count_from_source(prep.degree_adj, p, k, counts)
+    assert prep.scores.dtype == np.int64 and np.array_equal(prep.scores, counts)
+
+
+@pytest.mark.parametrize("seed,kind", CASES)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_c_tables_match_numpy_oracle(seed, kind, k):
+    _assert_prepared_matches_oracle(Prepared(_graph(seed, kind), k))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_c_tables_match_numpy_oracle_with_ids_near_1e10(k):
+    """Ids spread up to 1e10 in shuffled order: the same path as dense ids."""
+    e = _graph(1, "plc")
+    ids = np.unique(e)
+    new = np.sort(np.random.default_rng(k).choice(10**10, size=len(ids), replace=False))
+    _assert_prepared_matches_oracle(Prepared(new[np.searchsorted(ids, e)], k))
+    _assert_prepared_matches_oracle(Prepared(_graph(0, "pp") + 10**10 - 7, k))
+
+
+def test_c_tables_match_numpy_oracle_on_fbp():
+    """FBP k=6, whose degree table keeps a source with more than 128
+    out-neighbours (three mask words) after the filter."""
+    prep = Prepared(datasets.edges("FBP"), 6)
+    _assert_prepared_matches_oracle(prep)
+    assert np.diff(prep.degree_adj.ptr).max() > 128
+
+
+def test_c_tables_of_empty_graphs_match_numpy_oracle():
+    """No node; nodes but no edge; edges but no live node."""
+    e = np.empty((0, 2), dtype=np.int64)
+    for nodes in (np.empty(0, dtype=np.int64), np.array([7, 9])):
+        rank = np.arange(len(nodes))
+        for k in (2, 3):
+            _assert_table_equal(adj_mod.orient_by_rank(nodes, e, rank, k),
+                                H.py_orient(e, nodes, rank, None if k == 2 else k))
+    e = _graph(0, "pp")
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    dead = np.zeros(len(nodes), dtype=bool)
+    t = adj_mod.orient_by_rank(nodes, pos, rank, 3, dead)
+    _assert_table_equal(t, H.py_orient(e, nodes, rank, 3, dead))
+    assert len(t.ind) == len(t.tri) == 0 and t.n == len(nodes)
+
+
+def test_rows_outnumbering_arcs_grow_the_row_buffer():
+    """K7 has 35 triangle rows on 21 arcs, and FB k=4 more rows than
+    edges: the kept rows outgrow any buffer sized by the edges."""
+    k7 = np.array([(a, b) for a in range(7) for b in range(a + 1, 7)], dtype=np.int64)
+    for e, k in ((k7, 3), (datasets.edges("FB"), 4)):
+        prep = Prepared(e, k)
+        assert len(prep.degree_adj.tri) > len(e)
+        _assert_table_equal(prep.degree_adj, H.py_orient(e, prep.nodes, prep.degree_rank, k))
+    assert len(Prepared(k7, 3).adj.tri) == 35
+
+
+def test_table_builder_checks_its_arguments(monkeypatch):
+    """The C builder reads ``pos``, ``rank`` and ``live`` in place and
+    keeps positions in int32: a bad array raises before any pointer
+    reaches C, and a failed allocation in C is a MemoryError."""
+    e = _graph(0, "pp")
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    live = np.ones(len(nodes), dtype=bool)
+    huge = np.broadcast_to(np.int64(0), (2**31,))  # 2^31 nodes, no memory
+    with pytest.raises(ValueError, match="int32"):
+        adj_mod.orient_by_rank(huge, pos, rank, 3)
+    for bad in (pos.reshape(-1), pos[:, :1], pos - 1, pos + len(nodes) - pos.min()):
+        with pytest.raises(ValueError):
+            adj_mod.orient_by_rank(nodes, bad, rank, 3)
+    for args in ((pos.astype(np.int32), rank, live), (np.asfortranarray(pos), rank, live),
+                 (pos, rank[:-1], live), (pos, rank.astype(np.int32), live),
+                 (pos, rank, live[:-1]), (pos, rank, live.astype(np.int8))):
+        with pytest.raises(TypeError):
+            adj_mod.orient_by_rank(nodes, args[0], args[1], 3, args[2])
+    freed = []
+
+    class Failing:
+        def orient(self, *args):
+            return -1
+
+        def release(self, buf):
+            freed.append(buf)
+
+    monkeypatch.setattr(adj_mod, "lib", Failing())
+    with pytest.raises(MemoryError):
+        adj_mod.orient_by_rank(nodes, pos, rank, 3)
+    assert len(freed) == 1
 
 
 @pytest.mark.parametrize("seed,kind", CASES)
 def test_numpy_rank_and_orient_match_loops(seed, kind):
     e = _graph(seed, kind)
-    nodes, rank = adj_mod.rank_by_degree(e)
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
     ids = nodes.tolist()
     assert ids == sorted({int(v) for v in e.reshape(-1)})
     assert dict(zip(ids, rank.tolist())) == H.ref_rank_by_degree(e)
@@ -307,7 +420,7 @@ def test_numpy_rank_and_orient_match_loops(seed, kind):
     by_score = adj_mod.rank_from_scores(np.array([scores.get(v, 0) for v in ids]))
     assert dict(zip(ids, by_score.tolist())) == H.ref_rank_from_scores(scores, set(ids))
     for r in (rank, by_score):
-        got = H.as_dict(adj_mod.orient_by_rank(e, nodes, r))
+        got = H.as_dict(adj_mod.orient_by_rank(nodes, pos, r, 2))
         want = H.ref_orient_by_rank(e, dict(zip(ids, r.tolist())))
         assert got.keys() == want.keys()
         for u in want:
@@ -319,10 +432,10 @@ def test_orient_with_large_ids_matches_loop():
     """Ids whose pairs overflow an int64 key: the table keys its arcs by
     dense positions."""
     e = _graph(0, "pp") + 2**40
-    nodes, rank = adj_mod.rank_by_degree(e)
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
     ref = H.ref_rank_by_degree(e)
     assert dict(zip(nodes.tolist(), rank.tolist())) == ref
-    got = H.as_dict(adj_mod.orient_by_rank(e, nodes, rank))
+    got = H.as_dict(adj_mod.orient_by_rank(nodes, pos, rank, 2))
     want = H.ref_orient_by_rank(e, ref)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[u], want[u]) for u in want)
@@ -330,10 +443,10 @@ def test_orient_with_large_ids_matches_loop():
 
 def test_numpy_rank_and_orient_empty():
     e = np.empty((0, 2), dtype=np.int64)
-    nodes, rank = adj_mod.rank_by_degree(e)
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
     assert len(nodes) == len(rank) == 0
     assert len(adj_mod.rank_from_scores(np.empty(0, dtype=np.int64))) == 0
-    assert H.as_dict(adj_mod.orient_by_rank(e, nodes, rank)) == {}
+    assert H.as_dict(adj_mod.orient_by_rank(nodes, pos, rank, 2)) == {}
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -377,10 +490,10 @@ def _kernel_results(t, k, scores, valid):
 
 
 def _assert_filter_keeps_results(t, k, scores, valids, f=None):
-    """``f``, by default ``keep_clique_arcs(t, k)``, gives every kernel
-    result of ``t``, with no more FindMin ``visited``."""
+    """``f``, by default ``t`` without the arcs in no k-clique, gives every
+    kernel result of ``t``, with no more FindMin ``visited``."""
     if f is None:
-        f = adj_mod.keep_clique_arcs(t, k)
+        f = _keep_clique_arcs(t, k)
     for valid in valids:
         got, got_visited = _kernel_results(f, k, scores, _at(t, valid))
         want, want_visited = _kernel_results(t, k, scores, _at(t, valid))
@@ -408,12 +521,11 @@ def test_clique_arc_filter_keeps_rows_of_dropped_arcs():
     are dropped, but the root's triangle rows through them stay. Built
     again from the kept arcs, the table would lose the clique."""
     e = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)], dtype=np.int64)
-    nodes = np.unique(e)
-    t = adj_mod.orient_by_rank(e, nodes, np.arange(len(nodes)))  # rank by id: 3 roots it
-    f = adj_mod.keep_clique_arcs(t, 4)
+    nodes, pos, _ = adj_mod.rank_by_degree(e)
+    t = adj_mod.orient_by_rank(nodes, pos, np.arange(len(nodes)), 2)  # rank by id: 3 roots it
+    f = adj_mod.orient_by_rank(nodes, pos, np.arange(len(nodes)), 4)
     assert H.as_rows(f) == {3: ([0, 1, 2], [(1, 0), (2, 0), (2, 1)])}
-    keys = np.repeat(np.arange(f.n), np.diff(f.ptr)) * f.n + f.ind
-    rebuilt = adj_mod._table(f.nodes, keys)
+    rebuilt = _keep_clique_arcs(f, 2)  # the kept arcs alone
     assert H.runs(kernels.enumerate_from_source(f, 3, 4), 4) == [(0, 1, 2, 3)]
     assert len(kernels.enumerate_from_source(rebuilt, 3, 4)) == 0
     _assert_filter_keeps_results(t, 4, np.array([1, 1, 1, 1, 0]),
@@ -424,7 +536,7 @@ def test_clique_arc_filter_on_empty_tables():
     none = np.empty(0, dtype=np.int64)
     e = np.empty((0, 2), dtype=np.int64)
     for nodes in (none, np.array([7, 9])):  # no node; nodes, but no arc
-        f = adj_mod.keep_clique_arcs(adj_mod.orient_by_rank(e, nodes, np.arange(len(nodes))), 3)
+        f = adj_mod.orient_by_rank(nodes, e, np.arange(len(nodes)), 3)
         assert f.ptr.tolist() == f.tptr.tolist() == [0] * (len(nodes) + 1)
         assert (len(f.ind), f.tri.shape, len(f.sources(3))) == (0, (0, 2), 0)
 
@@ -432,9 +544,9 @@ def test_clique_arc_filter_on_empty_tables():
 @pytest.mark.parametrize("k", [1, 2])
 def test_clique_arc_filter_keeps_every_arc_for_k_at_most_2(k):
     e = _graph(0, "plc")
-    nodes, rank = adj_mod.rank_by_degree(e)
-    t = adj_mod.orient_by_rank(e, nodes, rank)
-    f = adj_mod.keep_clique_arcs(t, k)
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    t = H.py_orient(e, nodes, rank)
+    f = adj_mod.orient_by_rank(nodes, pos, rank, k)
     for name in ("nodes", "ptr", "ind", "tptr", "tri"):
         assert np.array_equal(getattr(f, name), getattr(t, name)), name
 

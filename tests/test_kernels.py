@@ -15,8 +15,8 @@ from tests.helpers import by_id, paper_fig2_edges, random_graph, runs, to_ids
 def _oriented(e, by_degree=True):
     """The degree orientation of ``e``, or with ``by_degree`` false the
     id orientation."""
-    nodes, rank = adj_mod.rank_by_degree(e)
-    return adj_mod.orient_by_rank(e, nodes, rank if by_degree else np.arange(len(nodes)))
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    return adj_mod.orient_by_rank(nodes, pos, rank if by_degree else np.arange(len(nodes)), 2)
 
 
 def _all_listed(adj, k):
@@ -39,7 +39,8 @@ def _score_oriented(e, k):
     """LP's score orientation of ``e`` and its node scores by position."""
     adj0 = _oriented(e)
     scores = _counts(adj0, k)
-    return adj_mod.orient_by_rank(e, adj0.nodes, adj_mod.rank_from_scores(scores)), scores
+    nodes, pos, _ = adj_mod.rank_by_degree(e)
+    return adj_mod.orient_by_rank(nodes, pos, adj_mod.rank_from_scores(scores), 2), scores
 
 
 @pytest.mark.parametrize("seed", range(5))

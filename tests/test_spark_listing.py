@@ -139,8 +139,8 @@ def test_member_columns_sorted_ascending(ftb):
 
 def test_oriented_edges_form_dag(ftb):
     e, _ = ftb
-    nodes, by_pos = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, nodes, by_pos)
+    nodes, pos, by_pos = adj_mod.rank_by_degree(e)
+    adj = adj_mod.orient_by_rank(nodes, pos, by_pos, 2)
     rank = dict(zip(nodes.tolist(), by_pos.tolist()))
     arcs = [(u, int(v)) for u, nb in as_dict(adj).items() for v in nb]
     for s, d in arcs:

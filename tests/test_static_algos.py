@@ -92,7 +92,7 @@ def test_fig2_example2_first_found_is_selection_dependent():
 
     e = paper_fig2_edges()
     nodes, by_id = np.arange(1, 10, dtype=np.int64), np.arange(9)  # position v-1 is node v
-    adj = adj_mod.orient_by_rank(e, nodes, by_id)
+    adj = adj_mod.orient_by_rank(nodes, e - 1, by_id, 2)
     S = to_ids(nodes, hg_driver_from_oriented(adj, by_id, 3).S)
     validate.assert_valid_solution(e, 3, S)
     assert validate.is_maximal(e, 3, S)

@@ -17,8 +17,8 @@ from tests.helpers import by_id, paper_fig2_edges, random_graph, runs, to_ids
 def _scores_and_cliques(e, k):
     """Node scores ``{id: s_n}`` (nodes in no clique left out) and every
     k-clique as its id tuple."""
-    nodes, rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, nodes, rank)
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    adj = adj_mod.orient_by_rank(nodes, pos, rank, 2)
     scores = np.zeros(adj.n, dtype=np.int64)
     cliques: list[tuple[int, ...]] = []
     for u in range(adj.n):
