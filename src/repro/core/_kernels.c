@@ -1,6 +1,7 @@
 /* The compiled kernels, built and loaded by repro.core.native: the table
- * builder of repro.graphs.adjacency and the per-source kernels of
- * repro.core.kernels, whose docstrings say what each returns. A kernel takes
+ * builder of repro.graphs.adjacency, the per-source kernels of
+ * repro.core.kernels, whose docstrings say what each returns, and GC's
+ * selection scan (repro.core.gc.greedy_select). A kernel takes
  * an Oriented table (ptr, ind, tptr, tri) and a source, whose d out-neighbours
  * are local nodes 0..d-1, each with a W-word mask of its out-neighbours among
  * them (W = ceil(d/64)), set from the triangle rows. Set bits are visited low
@@ -253,4 +254,20 @@ int64_t find_min_clique(TABLE, int64_t src, int64_t k, const uint8_t *valid, con
     best[0] = S.found, best[1] = S.best;
     free(S.mask);
     return r < 0 ? -1 : S.visited;
+}
+
+/* Algorithm 2's selection: walks the n rows of cliques (k positions each) in
+ * the given order and keeps each row that has no position used yet, marking
+ * its positions used and picked[x] for row order[x]. Returns the rows kept. */
+int64_t greedy_scan(int64_t n, int64_t k, const int32_t *cliques, const int64_t *order, uint8_t *used,
+                    uint8_t *picked) {
+    int64_t kept = 0, j;
+    for (int64_t x = 0; x < n; x++) {
+        const int32_t *c = cliques + order[x] * k;
+        for (j = 0; j < k && !used[c[j]]; j++) {}
+        if (j < k) continue;
+        for (j = 0; j < k; j++) used[c[j]] = 1;
+        picked[x] = 1, kept++;
+    }
+    return kept;
 }

@@ -25,11 +25,12 @@ def list_kcliques(prep: Prepared, budget: Budget | None = None) -> np.ndarray:
     its member positions in ascending order (the canonical clique
     identity; ``prep.to_ids`` gives the node ids). Each clique is listed
     once, from its highest-ordering member of the degree orientation,
-    over the sources in ascending position; the budget is checked once
-    per source."""
+    over the sources in ascending position. The array is sized by
+    :func:`count_kcliques`, which checks the budget's clique cap and
+    clock; the clock is checked again once per source."""
     k, adj = prep.k, prep.degree_adj
     budget = budget or Budget()
-    cliques = np.empty((_n_cliques(prep), k), dtype=np.int32)
+    cliques = np.empty((count_kcliques(prep, budget), k), dtype=np.int32)
     n = 0
     for src in adj.sources(k).tolist():
         budget.check_time()
@@ -42,16 +43,12 @@ def list_kcliques(prep: Prepared, budget: Budget | None = None) -> np.ndarray:
 
 def count_kcliques(prep: Prepared, budget: Budget | None = None) -> int:
     """Total number of k-cliques: sum of node scores divided by k
-    (every clique contributes once per member)."""
-    n = _n_cliques(prep)
-    if budget is not None:
-        budget.check_count(n)
-        budget.check_time()
-    return n
-
-
-def _n_cliques(prep: Prepared) -> int:
+    (every clique contributes once per member), checked against the
+    budget's clique cap, then its clock."""
     total = int(prep.scores.sum())
     if total % prep.k:
         raise RuntimeError(f"the node scores sum to {total}, not a multiple of k = {prep.k}")
+    if budget is not None:
+        budget.check_count(total // prep.k)
+        budget.check_time()
     return total // prep.k

@@ -9,17 +9,13 @@ one.
 The cliques stay in one int32 array from listing to selection:
 :func:`~repro.core.clique_listing.list_kcliques` fills its rows (member
 positions, ascending), the clique scores are one gather-sum over the
-node scores, and one ``np.lexsort`` ranks the rows
-(:func:`greedy_order`). The selection runs in local-minimum rounds
-(Blelloch, Fineman and Shun, "Greedy Sequential Maximal Independent Set
-and Matching are Parallel on Average", SPAA 2012): a live clique whose
-rank is the lowest among the live cliques at each of its members joins
-S, then every live clique that touches a chosen node drops. No earlier
-clique can still take such a clique's nodes, so the rounds return
-exactly the S of the sequential scan, :func:`greedy_by_score`, which
-the tests keep as the oracle. Everything runs on the driver. The budget
-stops GC at a clique count that fits on the driver
-(``tables.common.DEFAULT_MAX_CLIQUES``) before anything is listed.
+node scores, one ``np.lexsort`` ranks the rows (:func:`greedy_order`),
+and :func:`greedy_select` runs that scan in C over the rows in that
+order. :func:`greedy_by_score`, the same scan over ``(score, members)``
+pairs, is the tests' oracle and TrySwap's selection. Everything runs on
+the driver. The budget stops GC at a clique count that fits on the
+driver (``tables.common.DEFAULT_MAX_CLIQUES``) before anything is
+listed.
 """
 from __future__ import annotations
 
@@ -28,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core import clique_listing
+from repro.core import clique_listing, native
 from repro.core.budgets import Budget
 from repro.core.prepare import Prepared
 from repro.graphs import datasets
@@ -38,7 +34,7 @@ from repro.graphs import datasets
 class GCResult:
     S: list[tuple[int, ...]]
     n_cliques: int = 0
-    rounds: int = 0  # local-minimum rounds of the selection
+    rounds: int = 0  # kept because perfbench/run.py reads it
 
     @property
     def size(self) -> int:
@@ -78,36 +74,27 @@ def greedy_order(s_c: np.ndarray, cliques: np.ndarray, n_nodes: int) -> np.ndarr
     return np.lexsort(keys[::-1])
 
 
-def select_in_rounds(ranked: np.ndarray, n_nodes: int) -> tuple[np.ndarray, int]:
-    """The rows of ``ranked`` (cliques over positions ``< n_nodes``, in
-    greedy order) that the sequential greedy keeps, ascending, and the
-    number of local-minimum rounds that found them."""
-    n, k = ranked.shape
-    picked = np.zeros(n, dtype=bool)
-    used = np.zeros(n_nodes, dtype=bool)
-    low = np.empty(n_nodes, dtype=np.int64)  # lowest live row through each node
-    live = np.arange(n)
-    rounds = 0
-    while live.size:
-        rounds += 1
-        rows = ranked[live]
-        low[rows] = n
-        np.minimum.at(low, rows.ravel(), np.repeat(live, k))
-        win = (low[rows] == live[:, None]).all(axis=1)
-        picked[live[win]] = True
-        used[rows[win]] = True
-        live = live[~used[rows].any(axis=1)]
-    return np.flatnonzero(picked), rounds
+def greedy_select(cliques: np.ndarray, order: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Algorithm 2's scan over the rows of ``cliques`` (an int32 ``(n,
+    k)`` array of positions ``< n_nodes``) in the int64 row order
+    ``order`` (a permutation of the rows): ``picked[x]`` is True when
+    the scan keeps row ``order[x]``, the one that shares no position
+    with a row kept before it."""
+    n = len(order)
+    picked, used = np.zeros(n, dtype=bool), np.zeros(n_nodes, dtype=bool)
+    # Each array's length is checked against the other's: they must match.
+    native.lib.greedy_scan(n, cliques.shape[1], native.addr(cliques, np.int32, n),
+                           native.addr(order, np.int64, len(cliques)),
+                           native.addr(used, np.bool_, n_nodes), native.addr(picked, np.bool_, n))
+    return picked
 
 
 def solve(prep: Prepared, budget: Budget | None = None) -> GCResult:
     """Run Algorithm 2: list, score and select."""
-    n_cliques = clique_listing.count_kcliques(prep, budget)  # GC must store all of them
-    cliques = clique_listing.list_kcliques(prep, budget)
-    s_c = prep.scores[cliques].sum(axis=1)
-    ranked = cliques[greedy_order(s_c, cliques, len(prep.nodes))]
-    picked, rounds = select_in_rounds(ranked, len(prep.nodes))
-    return GCResult(prep.to_ids(ranked[picked]), n_cliques=n_cliques, rounds=rounds)
+    cliques = clique_listing.list_kcliques(prep, budget)  # GC must store all of them
+    order = greedy_order(prep.scores[cliques].sum(axis=1), cliques, len(prep.nodes))
+    picked = greedy_select(cliques, order, len(prep.nodes))
+    return GCResult(prep.to_ids(cliques[order[picked]]), n_cliques=len(cliques))
 
 
 def gc(

@@ -42,10 +42,8 @@ class OptResult:
 
 def solve(prep: Prepared, budget: Budget | None = None) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
-    k = prep.k
     if budget is not None:
         scores = prep.scores.tolist()
-        budget.check_count(sum(scores) // k)
         # Cheap upper bound on clique-graph edges from node scores:
         # cliques sharing node u form a clique of size s_n(u) in the
         # clique graph, so |E(G_C)| <= sum_u C(s_n(u), 2). Guard BEFORE

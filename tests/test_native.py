@@ -2,6 +2,8 @@
 cache, loads that build again without compiling, and fails with the
 compiler's own message when there is no compiler or the source does not
 compile. A new build replaces the earlier ones in the cache."""
+import re
+
 import pytest
 
 from repro.core import native
@@ -48,3 +50,12 @@ def test_missing_compiler_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     with pytest.raises(ImportError, match="needs a C compiler"):
         native.load(native.SOURCE, tmp_path)
+
+
+def test_every_exported_function_has_a_signature():
+    """Every non-static top-level function of the source is registered in
+    ``_SIGNATURES`` (and nothing else is): ctypes would call an
+    unregistered one with its default int conversions, which truncate
+    64-bit pointers."""
+    defined = re.findall(r"^(?!static\b)[a-z_][\w \t*]*?\b(\w+)\(", native.SOURCE.read_text(), re.M)
+    assert len(defined) == len(set(defined)) and set(defined) == set(native._SIGNATURES)

@@ -121,19 +121,36 @@ def test_greedy_by_score_prefers_low_score():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 24), k=st.integers(1, 5),
        n_rows=st.integers(0, 60), top=st.integers(0, 3))
-def test_rounds_select_equals_greedy_on_random_rows(seed, n_nodes, k, n_rows, top):
-    """GC's local-minimum rounds keep exactly the rows the sequential
-    greedy keeps, on random distinct k-sets with scores in 0..top (so
-    many ties, broken on the member tuple); no rows take no round."""
+def test_greedy_select_equals_greedy_on_random_rows(seed, n_nodes, k, n_rows, top):
+    """GC's C scan keeps exactly the rows the sequential greedy keeps, on
+    random distinct k-sets with scores in 0..top (so many ties, broken on
+    the member tuple), stored shuffled and reached through the order
+    that ranks them."""
     rng = np.random.default_rng(seed)
     k = min(k, n_nodes)
     rows = sorted({tuple(sorted(rng.choice(n_nodes, k, replace=False).tolist()))
                    for _ in range(n_rows)})
     scored = sorted((int(rng.integers(0, top + 1)), r) for r in rows)
     ranked = np.array([r for _, r in scored], dtype=np.int32).reshape(-1, k)
-    picked, rounds = gc_mod.select_in_rounds(ranked, n_nodes)
-    assert [tuple(r) for r in ranked[picked].tolist()] == greedy_by_score(scored)
-    assert (rounds == 0) == (len(rows) == 0) and rounds <= len(rows)
+    order = rng.permutation(len(ranked))
+    cliques = np.empty_like(ranked)
+    cliques[order] = ranked  # row order[x] of cliques is the x-th in greedy order
+    picked = gc_mod.greedy_select(cliques, order, n_nodes)
+    assert [tuple(r) for r in cliques[order[picked]].tolist()] == greedy_by_score(scored)
+
+
+def test_greedy_select_checks_its_arrays():
+    """The C scan reads ``cliques`` and ``order`` in place, so a wrong
+    dtype, a non-contiguous array, or one shorter than the other raises
+    before the scan runs."""
+    cliques = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int32)
+    order = np.arange(3)
+    assert gc_mod.greedy_select(cliques, order, 4).tolist() == [True, False, True]
+    for bad_cliques, bad_order in ((cliques.astype(np.int64), order), (cliques, order.astype(np.int32)),
+                                   (np.asfortranarray(cliques), order), (cliques, np.arange(6)[::2]),
+                                   (cliques[:2], order), (cliques, order[:2])):
+        with pytest.raises(TypeError):
+            gc_mod.greedy_select(bad_cliques, bad_order, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,8 +209,7 @@ GREEDY_CASES = {
 def test_gc_rounds_equal_sequential_greedy(case):
     """GC's S equals ``greedy_by_score`` over every k-clique (by brute
     force) scored from the node scores, on inputs full of equal clique
-    scores and on shuffled labels; ``rounds`` is 0 exactly when there is
-    no clique, and 1 on a single clique."""
+    scores and on shuffled labels."""
     e, ks = GREEDY_CASES[case]
     for k in ks:
         prep = Prepared(e, k)
@@ -202,9 +218,6 @@ def test_gc_rounds_equal_sequential_greedy(case):
         res = gc_mod.solve(prep)
         assert res.S == greedy_by_score([(sum(score[v] for v in c), c) for c in cliques])
         assert res.n_cliques == len(cliques)
-        assert (res.rounds == 0) == (not cliques)
-        if len(cliques) == 1:
-            assert res.rounds == 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

@@ -118,7 +118,8 @@ def test_listing_checks_the_budget_once_per_source():
         list_kcliques(prep, Budget(max_seconds=-1.0))
     counted = TripBudget()
     want = list_kcliques(prep, counted)
-    assert counted.calls == len(prep.degree_adj.sources(4))
+    # One check follows the count that sizes the array, then one per source.
+    assert counted.calls == 1 + len(prep.degree_adj.sources(4))
     with pytest.raises(SimulatedOOT):
         list_kcliques(prep, TripBudget(trip_at=counted.calls))
     assert np.array_equal(list_kcliques(prep, TripBudget(trip_at=counted.calls + 1)), want)
@@ -168,7 +169,7 @@ def test_budget_oot_mid_loop(monkeypatch, phase):
     assert n_sources > 1 and len(prep.degree_adj.sources(4)) > 1
     if phase == "listing":
         calls = _counting(monkeypatch, "enumerate_from_source")
-        # Check 1 follows GC's count; checks 2, 3, ... precede each source.
+        # Check 1 follows the listing's count; checks 2, 3, ... precede each source.
         with pytest.raises(SimulatedOOT):
             gc_mod.solve(prep, TripBudget(trip_at=3))
         assert len(calls) == 1
