@@ -1,7 +1,8 @@
 /* The compiled kernels, built and loaded by repro.core.native: the table
- * builder of repro.graphs.adjacency, the per-source kernels of
- * repro.core.kernels, whose docstrings say what each returns, and GC's
- * selection scan (repro.core.gc.greedy_select). A kernel takes
+ * builder and the id map of repro.graphs.adjacency, the per-source kernels of
+ * repro.core.kernels, whose docstrings say what each returns, GC's selection
+ * scan (repro.core.gc.greedy_select) and the candidate index of
+ * repro.dynamic.index.build_index. A per-source kernel takes
  * an Oriented table (ptr, ind, tptr, tri) and a source, whose d out-neighbours
  * are local nodes 0..d-1, each with a W-word mask of its out-neighbours among
  * them (W = ceil(d/64)), set from the triangle rows. Set bits are visited low
@@ -133,13 +134,13 @@ static int arc(const int64_t *pos, const int64_t *rank, const uint8_t *live, int
     return 1;
 }
 
-/* Grows *buf, of *have pairs, to hold need pairs, at least doubling it; 0 if
- * realloc fails. */
-static int room(int32_t **buf, int64_t *have, int64_t need) {
+/* Grows *buf, of *have rows of width entries, to hold need rows, at least
+ * doubling it; 0 if realloc fails. */
+static int room(int32_t **buf, int64_t *have, int64_t need, int64_t width) {
     int32_t *more;
     if (need <= *have) return 1;
     if (need < 2 * *have) need = 2 * *have;
-    if (!(more = realloc(*buf, 2 * need * sizeof *more))) return 0;
+    if (!(more = realloc(*buf, width * need * sizeof *more))) return 0;
     *buf = more, *have = need;
     return 1;
 }
@@ -159,7 +160,7 @@ int64_t orient(int64_t n, int64_t m, const int64_t *pos, const int64_t *rank, co
     int32_t *src = calloc(2 * m + n + 1, sizeof *src), *full = src + m, *mark = full + m, *loc, *rows = NULL,
             *out = NULL;
     int64_t u, v, d = 0, t = 0, kept = 0, have = 0, had = 0, r;
-    if (!optr || !src || !room(&out, &had, 1)) goto fail;
+    if (!optr || !src || !room(&out, &had, 1, 2)) goto fail;
     for (int64_t e = 0; e < m; e++)  /* degrees, at [p + 2]: the scatters turn [p + 1] into p's end */
         if (arc(pos, rank, live, e, &u, &v)) optr[u + 2]++, iptr[v + 2]++;
     for (int64_t p = 2; p < n + 2; p++) optr[p] += optr[p - 1], iptr[p] += iptr[p - 1];
@@ -176,7 +177,7 @@ int64_t orient(int64_t n, int64_t m, const int64_t *pos, const int64_t *rank, co
         for (int64_t i = 0; i < d; i++) mark[full[a + i]] = (int32_t)(i + 1);
         for (int64_t i = 0; i < d; i++) {
             int64_t b = optr[full[a + i]], c = optr[full[a + i] + 1];
-            if (!room(&rows, &have, r + c - b)) goto fail;  /* every row of this out-neighbour fits */
+            if (!room(&rows, &have, r + c - b, 2)) goto fail;  /* every row of this out-neighbour fits */
             for (int64_t f = b; f < c; f++) {
                 int32_t j = mark[full[f]];
                 if (j) rows[2 * r] = (int32_t)i, rows[2 * r + 1] = j - 1, cnt[i]++, cnt[j - 1]++, r++;
@@ -189,7 +190,7 @@ int64_t orient(int64_t n, int64_t m, const int64_t *pos, const int64_t *rank, co
             cnt[i] = 0;
         }
         ptr[u + 1] = kept;
-        if (!room(&out, &had, t + r)) goto fail;
+        if (!room(&out, &had, t + r, 2)) goto fail;
         for (int64_t x = 0; x < r; x++) {
             int32_t i = loc[rows[2 * x]], j = loc[rows[2 * x + 1]];
             if (i >= 0 && j >= 0) out[2 * t] = i, out[2 * t + 1] = j, t++;
@@ -270,4 +271,97 @@ int64_t greedy_scan(int64_t n, int64_t k, const int32_t *cliques, const int64_t 
         picked[x] = 1, kept++;
     }
     return kept;
+}
+
+/* The id map of repro.graphs.adjacency.positions: an open-addressing table
+ * (linear probing, Fibonacci hashing, at most half full) of the n distinct
+ * keys, then out[x] = the index of query[x] among them, or -1 if it is not a
+ * key. Returns the number of queries that are not keys, or -1. */
+int64_t index_of(int64_t n, const int64_t *keys, int64_t m, const int64_t *query, int64_t *out) {
+    int64_t size = 2, bits = 1, miss = 0, *table;
+    while (size < 2 * n) size *= 2, bits++;
+    if (!(table = malloc(size * sizeof *table))) return -1;
+    memset(table, 0xff, size * sizeof *table);
+#define HOME(key) (int64_t)((uint64_t)(key) * 0x9E3779B97F4A7C15ULL >> (64 - bits))
+    for (int64_t i = 0; i < n; i++) {
+        int64_t h = HOME(keys[i]);
+        while (table[h] >= 0) h = (h + 1) & (size - 1);
+        table[h] = i;
+    }
+    for (int64_t x = 0; x < m; x++) {
+        int64_t h = HOME(query[x]);
+        while (table[h] >= 0 && keys[table[h]] != query[x]) h = (h + 1) & (size - 1);
+        miss += (out[x] = table[h]) < 0;
+    }
+#undef HOME
+    free(table);
+    return miss;
+}
+
+/* Algorithm 5's index, for repro.dynamic.index.build_index. The graph is a
+ * CSR over n rows (nbr holds rows, in any order), and S is n_s cliques of k
+ * rows (members), each in ascending id. Clique c's B = c ∪ N_F(c) is numbered
+ * by a per-row slot array (-1: not in B): its members 0..k-1, then its free
+ * neighbours as met. Each local node gets a W-word mask of its neighbours of
+ * higher slot in B, so enum_rec lists each k-clique of B once, from its lowest
+ * slot; rooted at 0..k-1, these are the cliques with a member of c, each from
+ * its lowest member of c. c itself (every slot below k) is dropped. Writes
+ * c's number of candidates to counts[c], sets *out to a buffer of their k-row
+ * records, in S order, which the caller frees with release, and returns their
+ * number, or -1. */
+int64_t candidate_index(int64_t n, const int64_t *ptr, const int64_t *nbr, int64_t n_s, int64_t k,
+                        const int64_t *members, int64_t *counts, int32_t **out) {
+    int32_t *slot = malloc((n + 1) * sizeof *slot), *b = malloc((n + k) * sizeof *b), *buf = NULL;
+    uint8_t *held = calloc(n + 1, 1);
+    u64 *work = NULL, *more;
+    int64_t total = 0, have = 0, words = 0, j, s;
+    Search S;
+    memset(&S, 0, sizeof S);
+    if (!slot || !b || !held || !room(&buf, &have, 1, k)) goto fail;
+    memset(slot, 0xff, n * sizeof *slot);
+    for (int64_t x = 0; x < n_s * k; x++) held[members[x]] = 1;
+    for (int64_t c = 0; c < n_s; c++) {
+        const int64_t *m = members + c * k;
+        int64_t d = 0, w, kept = 0;
+        int32_t *rows;  /* c's rows, from the end of the earlier cliques' */
+        for (j = 0; j < k; j++) slot[m[j]] = (int32_t)d, b[d++] = (int32_t)m[j];
+        for (j = 0; j < k; j++)
+            for (int64_t x = ptr[m[j]]; x < ptr[m[j] + 1]; x++)
+                if (!held[nbr[x]] && slot[nbr[x]] < 0) slot[nbr[x]] = (int32_t)d, b[d++] = (int32_t)nbr[x];
+        w = (d + 63) / 64;
+        if ((d + k) * w + k > words) {  /* d mask rows, k candidate rows, the prefix */
+            if (!(more = realloc(work, 2 * ((d + k) * w + k) * sizeof *work))) goto fail;
+            work = more, words = 2 * ((d + k) * w + k);
+        }
+        memset(work, 0, d * w * sizeof *work);
+        for (int64_t i = 0; i < d; i++)
+            for (int64_t x = ptr[b[i]]; x < ptr[b[i] + 1]; x++)
+                if ((s = slot[nbr[x]]) > i) work[i * w + (s >> 6)] |= 1ULL << (s & 63);
+        S.k = k, S.w = w, S.nb = b, S.mask = work, S.cand = work + d * w;
+        S.prefix = (int32_t *)(S.cand + k * w);
+        for (;;) {  /* again, with room for them all, if the buffer was short */
+            S.out = buf + total * k, S.cap = have - total, S.n = 0;
+            for (int64_t i = 0; k >= 2 && i < k; i++) {
+                S.prefix[0] = b[i];
+                memcpy(S.cand, work + i * w, w * sizeof *work);
+                enum_rec(&S, S.cand, k - 1, 1);
+            }
+            if (S.n <= S.cap) break;
+            if (!room(&buf, &have, total + S.n, k)) goto fail;
+        }
+        rows = buf + total * k;
+        for (int64_t x = 0; x < S.n; x++) {
+            for (j = 0; j < k && slot[rows[x * k + j]] < k; j++) {}
+            if (j < k) memmove(rows + kept * k, rows + x * k, k * sizeof *rows), kept++;
+        }
+        counts[c] = kept, total += kept;
+        for (int64_t i = 0; i < d; i++) slot[b[i]] = -1;
+    }
+    goto done;
+fail:
+    total = -1, free(buf), buf = NULL;
+done:
+    free(slot), free(b), free(held), free(work);
+    *out = buf;
+    return total;
 }

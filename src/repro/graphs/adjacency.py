@@ -75,8 +75,8 @@ def collect_out_adjacency(oriented_df: DataFrame) -> Oriented:
     every arc kept as it stands."""
     pdf = oriented_df.toPandas()
     arcs = np.column_stack((pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64)))
-    nodes, pos = np.unique(arcs, return_inverse=True)
-    return orient_by_rank(nodes, pos.reshape(-1, 2), None, 2)
+    nodes = np.unique(arcs)
+    return orient_by_rank(nodes, positions(nodes, arcs), None, 2)
 
 
 def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
@@ -124,24 +124,50 @@ def orient_by_rank(nodes: np.ndarray, pos: np.ndarray, rank: np.ndarray | None, 
     buf = ctypes.c_void_p()
     rows = lib.orient(n, m, addr(pos, np.int64, m), addr(rank, np.int64, n), addr(live, np.bool_, n), k,
                       ptr.ctypes.data, ind.ctypes.data, tptr.ctypes.data, ctypes.byref(buf))
+    tri = take(rows, buf, 2, "the table builder")
+    return Oriented(nodes, ptr, ind[:ptr[n]].copy(), tptr, tri)
+
+
+def take(rows: int, buf: ctypes.c_void_p, width: int, what: str) -> np.ndarray:
+    """The ``rows`` int32 rows of ``width`` entries that a C kernel wrote
+    into ``buf``, a buffer it allocated, copied out; ``buf`` is released.
+    A negative ``rows`` means the kernel could not allocate: MemoryError."""
     try:
         if rows < 0:
-            raise MemoryError("the table builder could not allocate its arrays")
-        tri = np.empty((rows, 2), dtype=np.int32)
-        ctypes.memmove(tri.ctypes.data, buf, tri.nbytes)
+            raise MemoryError(f"{what} could not allocate its arrays")
+        out = np.empty((rows, width), dtype=np.int32)
+        ctypes.memmove(out.ctypes.data, buf, out.nbytes)
     finally:
         lib.release(buf)
-    return Oriented(nodes, ptr, ind[:ptr[n]].copy(), tptr, tri)
+    return out
+
+
+def positions(keys: np.ndarray, ids) -> np.ndarray:
+    """Each of ``ids`` as its index in ``keys``, distinct int64 ids in any
+    order: an int64 array of the shape of ``ids``, from one C call (the
+    open-addressing map ``index_of`` in ``repro/core/_kernels.c``).
+    KeyError if an id is not a key; no index is then returned."""
+    query = np.ascontiguousarray(ids, dtype=np.int64)
+    out = np.empty(query.shape, dtype=np.int64)
+    miss = lib.index_of(len(keys), addr(keys, np.int64), query.size, addr(query.reshape(-1), np.int64),
+                        addr(out.reshape(-1), np.int64))
+    if miss < 0:
+        raise MemoryError("the id map could not allocate its table")
+    if miss:
+        raise KeyError(f"{miss} ids are not keys, e.g. {query[out < 0][:3].tolist()}")
+    return out
 
 
 def rank_by_degree(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every node id, ascending; each edge's two endpoints as positions
     (indices into the ids), an int64 ``(m, 2)`` array; and the degree
     ordering (Section IV-A) over the positions: larger degree => larger
-    rank, ties broken by node id. One ``np.unique`` finds all three."""
-    nodes, pos, deg = np.unique(np.asarray(edges, dtype=np.int64), return_inverse=True,
-                                return_counts=True)
-    return nodes, pos.reshape(-1, 2), _rank(deg)
+    rank, ties broken by node id. One ``np.unique`` finds the ids, the id
+    map the positions, and a ``bincount`` of those the degrees."""
+    edges = np.asarray(edges, dtype=np.int64)
+    nodes = np.unique(edges)
+    pos = positions(nodes, edges).reshape(-1, 2)
+    return nodes, pos, _rank(np.bincount(pos.reshape(-1), minlength=len(nodes)))
 
 
 def rank_from_scores(scores: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Candidate-clique index tests (Algorithm 5): definition-level
-cross-check, the paper's Fig. 5 example and free-node settling."""
+cross-check, the one-call C build against the per-clique rule, the
+paper's Fig. 5 example and free-node settling."""
+import random
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.core import validate
 from repro.core.lp import lp_numpy
 from repro.dynamic import index as idx_mod
 from repro.dynamic import state as st_mod
+from repro.dynamic import updates as upd
 from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 
@@ -133,3 +137,87 @@ def test_edges_array_roundtrip():
     e = paper_fig5_g1_edges()
     st = _state(e, 3, S=[])
     assert np.array_equal(st.edges_array(), e)
+
+
+# --- the C build against the per-clique rule ----------------------------
+
+def _check_build(st):
+    """``build_index`` equals ``candidates_for`` per clique, in S order,
+    and the global definition; returns the index size."""
+    want = {c: idx_mod.candidates_for(st, c) for c in st.S}
+    idx_mod.build_index(st)
+    assert list(st.cand) == list(want) and st.cand == want
+    assert st.cand == _brute_candidates(st)
+    return idx_mod.index_size(st)
+
+
+def _sorted_edges(st):
+    rows = sorted((u, v) for u, nb in st.adj.items() for v in nb if u < v)
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("kind", ["pp", "plc"])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_c_build_equals_per_clique_rule(k, kind):
+    sizes = [_check_build(_state(random_graph(seed, 40, kind), k)) for seed in range(3)]
+    assert sum(sizes) > 0, "no case has a candidate"
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_c_build_leaves_out_all_free_cliques_of_a_non_maximal_S(k):
+    e = random_graph(2, 40)
+    S = lp_numpy(e, k).S[::2]
+    st = _state(e, k, S=S)
+    free = {v for v in st.adj if st.is_free(v)}
+    assert validate.cliques_in_subset(st.adj, free, k), "S leaves no all-free clique"
+    assert _check_build(st) > 0
+    assert all(any(not st.is_free(v) for v in c) for cands in st.cand.values() for c in cands)
+
+
+def test_c_build_with_an_empty_S():
+    st = _state(random_graph(0, 40), 3, S=[])
+    idx_mod.build_index(st)
+    assert st.cand == {} and idx_mod.index_size(st) == 0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_c_build_with_wide_and_negative_ids(k):
+    e = (random_graph(1, 40) - 20) * 10_000_000_019
+    assert e.min() < 0 and np.abs(e).max() >= 10**11
+    st = _state(e, k)
+    assert _check_build(st) > 0
+    assert np.array_equal(st.edges_array(), _sorted_edges(st))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_c_build_with_nodes_left_without_edges(k):
+    st = _state(random_graph(3, 40), k)
+    idx_mod.build_index(st)
+    for u in sorted(st.adj)[::5]:
+        for v in sorted(st.adj[u]):
+            upd.delete_edge(st, u, v)
+    assert any(not nb for nb in st.adj.values())
+    _check_build(st)
+    assert np.array_equal(st.edges_array(), _sorted_edges(st))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [3, 4])
+def test_c_build_after_a_stream_equals_the_maintained_index(seed, k):
+    st = _state(random_graph(seed, 36), k)
+    idx_mod.build_index(st)
+    rng = random.Random(seed)
+    nodes = sorted(st.adj)
+    for _ in range(150):
+        u, v = rng.sample(nodes, 2)
+        (upd.delete_edge if st.has_edge(u, v) else upd.insert_edge)(st, u, v)
+    maintained = {c: set(cands) for c, cands in st.cand.items()}
+    _check_build(st)
+    assert st.cand == maintained
+    assert np.array_equal(st.edges_array(), _sorted_edges(st))
+
+
+def test_edges_array_of_an_edgeless_state():
+    st = st_mod.DynamicState(k=3, adj={5: set(), -2: set()})
+    got = st.edges_array()
+    assert got.shape == (0, 2) and got.dtype == np.int64

@@ -441,6 +441,13 @@ def test_orient_with_large_ids_matches_loop():
     assert all(np.array_equal(got[u], want[u]) for u in want)
 
 
+def test_rank_with_negative_and_wide_ids_matches_loop():
+    e = (_graph(2, "plc") - 30) * 10_000_000_019
+    nodes, pos, rank = adj_mod.rank_by_degree(e)
+    assert pos.dtype == np.int64 and np.array_equal(nodes[pos], e)
+    assert dict(zip(nodes.tolist(), rank.tolist())) == H.ref_rank_by_degree(e)
+
+
 def test_numpy_rank_and_orient_empty():
     e = np.empty((0, 2), dtype=np.int64)
     nodes, pos, rank = adj_mod.rank_by_degree(e)
